@@ -3,7 +3,7 @@ counting/selection over sparse graphs, Euclidean point sets, bounded-treewidth
 graphs, and planar graphs, with a brute-force oracle suite."""
 
 from .graphs import (INF, ContractedGraph, DisjointSets, DistanceField, Graph,
-                     approx_diameter, contract_graph, dijkstra,
+                     KruskalTree, approx_diameter, contract_graph, dijkstra,
                      dijkstra_truncated, is_connected, make_graph, parse_graph,
                      pruned_dijkstra_relax, spread, write_graph)
 from .greedy import (GreedyPermutation, LevelSchedule, Net, approx_greedy,

@@ -87,8 +87,9 @@ def make_graph(n: int, edges) -> Graph:
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        if w < 0.0:
-            raise ValueError(f"negative weight {w} on edge ({u},{v})")
+        if not 0.0 <= w < INF:  # also false for NaN
+            kind = "negative" if w < 0.0 else "non-finite"
+            raise ValueError(f"{kind} weight {w} on edge ({u},{v})")
         out.append((u, v, w))
     return Graph(n=n, edges=out)
 
@@ -354,6 +355,82 @@ class DisjointSets:
             ra, rb = rb, ra
         self.parent[rb] = ra
         return True
+
+
+class KruskalTree:
+    """Kruskal reconstruction tree: the union-find classes of every prefix of
+    one edge list, reached by undoing merges newest first.
+
+    Edge k either merges two classes of the prefix-k union-find or does
+    nothing.  Every class ever formed is one contiguous slice of a fixed
+    leaf order: a merge joins the slice of a class with minimum id a to the
+    slice right after it, of a class with minimum id b > a.  Leaves carry a
+    class label that maps to the class's min id, so undoing a merge
+    relabels only its smaller side: each vertex is relabelled O(log n)
+    times over all prefixes.
+    """
+
+    def __init__(self, n: int, us, vs):
+        dsu = DisjointSets(n)
+        nxt = [-1] * n  # each class is a linked list headed by its min id
+        tail = list(range(n))
+        size = [1] * n
+        pos: list[int] = []
+        merges: list[tuple[int, int, int, int]] = []  # (a, b, |a side|, |b side|)
+        for k, (u, v) in enumerate(zip(us, vs)):
+            a, b = dsu.find(int(u)), dsu.find(int(v))
+            if a == b:
+                continue
+            if b < a:
+                a, b = b, a
+            dsu.union(a, b)
+            pos.append(k)
+            merges.append((a, b, size[a], size[b]))
+            nxt[tail[a]] = b
+            tail[a] = tail[b]
+            size[a] += size[b]
+        leaves: list[int] = []
+        for root in range(n):
+            if dsu.parent[root] == root:
+                x = root
+                while x != -1:
+                    leaves.append(x)
+                    x = nxt[x]
+        at = [0] * n
+        for i, x in enumerate(leaves):
+            at[x] = i
+        self.n = n
+        self._pos = np.asarray(pos, dtype=np.int64)
+        self._merges = [(at[a], a, b, ka, kb) for a, b, ka, kb in merges]
+        # one label per class of the whole list: its root, which is its min id
+        self._label = np.asarray([dsu.find(x) for x in leaves], dtype=np.int64)
+        self._leaves = np.asarray(leaves, dtype=np.int64)
+        self._rep_of = np.arange(n + len(pos), dtype=np.int64)
+        self.lo = len(us)
+        self._live = len(pos)  # merges 0.._live-1 are in effect
+
+    def lower_to(self, lo: int) -> np.ndarray:
+        """Undo the merges of edges lo.. and return the min-id
+        representative of every vertex for the prefix lo."""
+        if lo > self.lo:
+            raise ValueError(f"cannot raise the prefix from {self.lo} to {lo}")
+        first = int(np.searchsorted(self._pos[:self._live], lo))
+        label, rep_of = self._label, self._rep_of
+        for j in range(self._live - 1, first - 1, -1):
+            s, a, b, ka, kb = self._merges[j]
+            fresh = self.n + j
+            if kb <= ka:
+                label[s + ka:s + ka + kb] = fresh
+                rep_of[fresh] = b
+            else:  # the b side keeps the merged class's label
+                rep_of[label[s]] = b
+                label[s:s + ka] = fresh
+                rep_of[fresh] = a
+        self._live = first
+        self.lo = lo
+        rep = np.empty(self.n, dtype=np.int64)
+        rep[self._leaves] = rep_of[label]
+        return rep
 
 
 @dataclass

@@ -3,29 +3,32 @@ greedy permutations, and 2-approximate k-center.
 
 The approximate variants run a geometric schedule of radii and compute an
 r-net per level; the spread-free variant additionally contracts very short
-edges and deletes very long ones so each edge participates in O(log(n/eps))
-levels regardless of the weight range.
+edges and deletes very long ones so each edge participates in
+O(eps^-1 log(n/eps)) levels regardless of the weight range.  Its per-level
+state is updated, not rebuilt: a Kruskal reconstruction tree, built once,
+gives every level's contraction, and the truncated distance field to the
+selection is carried across levels whose working graph is unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graphs import (
     INF,
-    ContractedGraph,
     DistanceField,
     Graph,
+    KruskalTree,
     approx_diameter,
-    contract_graph,
-    dijkstra_truncated,
     is_connected,
     pruned_dijkstra_relax,
 )
+# Not called here: importable from this module because perfbench/spans.py
+# traces them under these names.
+from .graphs import contract_graph, dijkstra_truncated  # noqa: F401
 
 __all__ = [
     "Net",
@@ -87,8 +90,8 @@ class LevelSchedule:
         minimum positive distance, a final level equal to it can leave a
         vertex at exactly that distance marked as used and never selected.
         """
-        if delta <= 0 or eps <= 0 or floor <= 0:
-            raise ValueError("delta, eps and floor must be positive")
+        for name, x in (("delta", delta), ("eps", eps), ("floor", floor)):
+            _check_positive(name, x)
         r = float(delta)
         levels = [r]
         while r >= floor:
@@ -99,6 +102,11 @@ class LevelSchedule:
     @property
     def m(self) -> int:
         return len(self.levels)
+
+
+def _check_positive(name: str, x: float) -> None:
+    if not 0.0 < x < INF:  # also false for NaN
+        raise ValueError(f"{name} must be finite and positive, got {x}")
 
 
 # --- r-nets ---
@@ -128,8 +136,7 @@ def r_net(g: Graph, r: float, order=None, used=(), field: DistanceField | None =
     (the default) and an empty used set the result is an exact r-net:
     pairwise distances >= r, covering <= r.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    _check_positive("r", r)
     if not is_connected(g):
         raise ValueError("graph is disconnected")
     if order is None:
@@ -175,11 +182,11 @@ def approx_greedy_bounded_spread(g: Graph, eps: float, seed: int) -> GreedyPermu
     """(1+eps)-greedy permutation via per-level r-nets over one shared field.
 
     Runtime scales with log of the spread: every level marks vertices within
-    r_i of the prior selections as used (truncated multi-source Dijkstra) and
-    then runs the net sweep in a fresh random order.
+    r_i of the prior selections as used and then runs the net sweep in a
+    fresh random order.  The shared field already holds the exact distance
+    to the prior selections, so the used set is read off it.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_positive("eps", eps)
     if g.n == 1:
         return GreedyPermutation(order=[0], radii=[INF], eps=eps)
     delta = approx_diameter(g)  # also proves connectivity
@@ -188,13 +195,8 @@ def approx_greedy_bounded_spread(g: Graph, eps: float, seed: int) -> GreedyPermu
     fld = DistanceField.fresh(g.n)
     order_out: list[int] = []
     radii: list[float] = []
-    used = np.zeros(g.n, dtype=bool)
     for r in schedule.levels:
-        used[:] = False
-        if order_out:
-            reach = dijkstra_truncated(g, [(v, 0.0) for v in order_out], cutoff=r)
-            for v in reach:
-                used[v] = True
+        used = fld.delta <= r
         net = _net_sweep(g, r, rng.permutation(g.n), used, fld)
         for v in net.points:
             radii.append(INF if not order_out else r)
@@ -259,17 +261,38 @@ def _truncated_relax(adj, source: int, dist: dict, cutoff: float) -> None:
                 heapq.heappush(heap, (nd, v))
 
 
+def _active_adjacency(rep: np.ndarray, us: np.ndarray, vs: np.ndarray, ws: list[float],
+                      lo: int, hi: int) -> dict[int, list[tuple[int, float]]]:
+    """Edges lo..hi-1 remapped onto their representatives, self-loops dropped."""
+    adj: dict[int, list[tuple[int, float]]] = {}
+    for a, b, w in zip(rep[us[lo:hi]].tolist(), rep[vs[lo:hi]].tolist(), ws[lo:hi]):
+        if a != b:
+            adj.setdefault(a, []).append((b, w))
+            adj.setdefault(b, []).append((a, w))
+    return adj
+
+
 def approx_greedy(g: Graph, eps: float, seed: int) -> GreedyPermutation:
     """(1+eps)-greedy permutation whose runtime does not depend on the spread.
 
-    Per level, edges much shorter than the radius are contracted and edges
-    longer than twice the radius are deleted, so the working graph holds only
-    the O(eps^-1 log(n/eps)) levels' worth of active edges; levels with no
-    active edges are skipped outright.  Internally runs a finer schedule so
-    the contraction error stays inside the claimed eps.
+    At radius r, edges shorter than eps r / 2n are contracted and edges
+    longer than 2r are deleted, so every edge is active on
+    O(eps^-1 log(n/eps)) levels and a level with no active edge is skipped.
+    Internally runs a finer schedule so the contraction error stays inside
+    the claimed eps.
+
+    Nothing is rebuilt from all m edges per level.  Sorted by weight, a
+    level's contracted and active edges are the slices [:lo] and [lo:hi].
+    The min-id representatives come from a Kruskal reconstruction tree
+    built once over the contracted prefix of the first level; a falling lo
+    undoes its newest merges.  The active adjacency is rebuilt only when
+    (lo, hi) changes, and the truncated field to the selection is carried
+    across the levels in between: a carried value above the new radius
+    passes the ">= r" test and loses every relaxation, just as a missing
+    one does.  Representatives that touch no active edge are chosen in one
+    numpy step; the Python loop visits only those that touch one.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_positive("eps", eps)
     if g.n == 1:
         return GreedyPermutation(order=[0], radii=[INF], eps=eps)
     delta = approx_diameter(g)
@@ -278,27 +301,54 @@ def approx_greedy(g: Graph, eps: float, seed: int) -> GreedyPermutation:
     rng = np.random.default_rng(seed)
     n = g.n
     order_idx = np.argsort([w for _, _, w in g.edges], kind="stable")
-    lengths = [g.edges[i][2] for i in order_idx]
+    edges = [g.edges[i] for i in order_idx]
+    us = np.fromiter((e[0] for e in edges), dtype=np.int64, count=g.m)
+    vs = np.fromiter((e[1] for e in edges), dtype=np.int64, count=g.m)
+    ws = [e[2] for e in edges]
+    levels = np.asarray(schedule.levels)
+    los = np.searchsorted(ws, eps_run * levels / (2.0 * n), side="right")
+    his = np.searchsorted(ws, 2.0 * levels, side="right")
+    busy = his > los
+    run = busy.copy()
+    run[0] = True  # nothing is selected yet, so the top level always runs
+    # active edge-levels: +1 over [lo, hi) of every level that runs
+    diff = np.zeros(g.m + 1, dtype=np.int64)
+    np.add.at(diff, los[busy], 1)
+    np.add.at(diff, his[busy], -1)
     active_levels = np.zeros(g.m, dtype=np.int64)
+    active_levels[order_idx] = np.cumsum(diff[:-1])
+
+    tree = KruskalTree(n, us[:los[0]], vs[:los[0]])
+    chosen = np.zeros(n, dtype=bool)
     order_out: list[int] = []
     radii: list[float] = []
-    for r in schedule.levels:
-        lo = bisect_right(lengths, eps_run * r / (2.0 * n))
-        hi = bisect_right(lengths, 2.0 * r)
-        if hi <= lo and order_out:
-            continue  # nothing active: no vertex can be at distance >= r
-        active_levels[order_idx[lo:hi]] += 1
-        cg = contract_graph(g, order_idx[:lo], order_idx[lo:hi])
-        adj = cg.adjacency()
-        rep = cg.rep
-        reps = np.unique(rep)
-        wd = _truncated_multisource(adj, {int(rep[v]) for v in order_out}, cutoff=r)
-        for s in rng.permutation(reps):
-            s = int(s)
+    window = None
+    for i in np.flatnonzero(run).tolist():
+        r = schedule.levels[i]
+        lo, hi = int(los[i]), int(his[i])
+        if (lo, hi) != window:
+            window = (lo, hi)
+            rep = tree.lower_to(lo)
+            reps = np.flatnonzero(rep == np.arange(n))
+            adj = _active_adjacency(rep, us, vs, ws, lo, hi)
+            touch = np.zeros(n, dtype=bool)
+            touch[list(adj)] = True
+            # every selected vertex is still its class's min id, hence a rep
+            wd = _truncated_multisource(adj, np.flatnonzero(chosen & touch).tolist(), cutoff=r)
+        perm = rng.permutation(reps)
+        reached = touch[perm]
+        # a rep without active edges is reached by no relaxation
+        take = ~(reached | chosen[perm])
+        at = np.flatnonzero(reached)
+        for j, s in zip(at.tolist(), perm[at].tolist()):
             if wd.get(s, INF) >= r:
-                radii.append(INF if not order_out else r)
-                order_out.append(s)
+                take[j] = True
                 _truncated_relax(adj, s, wd, cutoff=r)
+        new = perm[take]
+        chosen[new] = True
+        order_out.extend(new.tolist())
+        radii.extend([r] * len(new))
+    radii[0] = INF
     fld = DistanceField(np.asarray(
         [d for d in _final_distances(g, order_out)], dtype=np.float64))
     _append_zero_distance_tail(g, fld, order_out, radii)

@@ -205,6 +205,26 @@ def test_unreadable_graph_is_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["greedy", "--eps", "nan"],
+    ["greedy", "--eps", "inf", "--bounded-spread"],
+    ["net", "-r", "nan"],
+    ["net", "-r", "inf"],
+])
+def test_non_finite_parameters_are_exit_2(files, capsys, argv):
+    assert main(argv + ["--graph", files["path4.edg"]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "finite and positive" in err[0]
+
+
+def test_nan_edge_weight_is_exit_2(tmp_path, capsys):
+    p = tmp_path / "nan.edg"
+    p.write_text("3 2\n0 1 1\n1 2 nan\n")
+    assert main(["greedy", "--graph", str(p), "--exact"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "non-finite weight" in err[0]
+
+
 def test_output_file_and_byte_determinism(files, tmp_path, capsys):
     a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     for out in (a, b):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from farfirst.generators import random_connected_graph
-from farfirst.graphs import (DistanceField, approx_diameter, contract_graph, dijkstra,
-                             dijkstra_truncated, is_connected, make_graph, parse_graph,
-                             pruned_dijkstra_relax, spread, write_graph)
+from farfirst.graphs import (DisjointSets, DistanceField, KruskalTree, approx_diameter,
+                             contract_graph, dijkstra, dijkstra_truncated, is_connected,
+                             make_graph, parse_graph, pruned_dijkstra_relax, spread,
+                             write_graph)
 from farfirst.oracles import bellman_ford
 
 from conftest import complete_graph, path_graph
@@ -32,6 +33,13 @@ def test_parse_single_edge():
 def test_parse_negative_weight_rejected():
     with pytest.raises(ValueError, match="negative weight"):
         parse_graph("2 1\n0 1 -1")
+
+
+@pytest.mark.parametrize("w", ["nan", "inf", "-inf"])
+def test_parse_non_finite_weight_rejected(w):
+    kind = "negative" if w == "-inf" else "non-finite"
+    with pytest.raises(ValueError, match=f"{kind} weight"):
+        parse_graph(f"2 1\n0 1 {w}")
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -254,3 +262,36 @@ def test_contract_graph_drops_internal_edges():
     cg = contract_graph(g, contracted_idx=[0, 1], active_idx=[0, 1])
     assert cg.edges == []  # everything collapsed into one class
     assert list(cg.rep) == [0, 0, 0]
+
+
+def test_kruskal_tree_matches_union_find_on_every_prefix():
+    """Lowering the prefix, from m down to 0, one edge at a time or in random
+    jumps, must give the min-id classes of a union-find built from scratch
+    over edges[:lo]."""
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, 3 * n))
+        us = rng.integers(0, n, m)
+        vs = rng.integers(0, n, m)  # self-loops and parallel edges included
+        tree = KruskalTree(n, us, vs)
+        if trial % 2:
+            los = range(m, -1, -1)
+        else:
+            los = sorted({m, 0, *rng.integers(0, m + 1, 4).tolist()}, reverse=True)
+        for lo in los:
+            dsu = DisjointSets(n)
+            for u, v in zip(us[:lo], vs[:lo]):
+                dsu.union(int(u), int(v))
+            want = [dsu.find(v) for v in range(n)]
+            assert tree.lower_to(lo).tolist() == want, (n, m, lo)
+
+
+def test_kruskal_tree_skips_and_refuses_to_raise():
+    us, vs = [0, 2, 0, 1], [1, 3, 2, 3]
+    tree = KruskalTree(4, us, vs)
+    assert tree.lower_to(4).tolist() == [0, 0, 0, 0]
+    assert tree.lower_to(2).tolist() == [0, 0, 2, 2]  # two prefixes at once
+    assert tree.lower_to(0).tolist() == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="raise"):
+        tree.lower_to(1)

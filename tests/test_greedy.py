@@ -38,6 +38,10 @@ def test_level_schedule_guards():
         LevelSchedule.down_to(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         LevelSchedule.down_to(4.0, -1.0, 1.0)
+    for bad in (INF, float("nan")):
+        for args in ((bad, 1.0, 1.0), (4.0, bad, 1.0), (4.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                LevelSchedule.down_to(*args)
 
 
 # --- r_net ---
@@ -68,6 +72,9 @@ def test_r_net_respects_used_set(path4):
 def test_r_net_guards(path4):
     with pytest.raises(ValueError, match="positive"):
         r_net(path4, 0.0)
+    for bad in (INF, float("nan")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            r_net(path4, bad)
     with pytest.raises(ValueError, match="disconnected"):
         r_net(make_graph(3, [(0, 1, 1.0)]), 1.0)
 
@@ -190,6 +197,10 @@ def test_bounded_spread_radii_certificate_shape():
 def test_bounded_spread_guards(path4):
     with pytest.raises(ValueError):
         approx_greedy_bounded_spread(path4, 0.0, seed=1)
+    for fn in (approx_greedy, approx_greedy_bounded_spread):
+        for bad in (INF, float("nan")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                fn(path4, bad, seed=1)
     with pytest.raises(ValueError):
         approx_greedy_bounded_spread(make_graph(3, [(0, 1, 1.0)]), 0.5, seed=1)
 
