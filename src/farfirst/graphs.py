@@ -48,21 +48,25 @@ class Graph:
         return self._adj
 
     def csr(self):
-        """Sparse CSR adjacency (scipy), cached; used by the bulk solvers."""
+        """Sparse CSR adjacency (scipy), cached; used by the bulk solvers.
+
+        Of parallel edges only the lightest is kept (scipy would sum them),
+        and zero weights stay as explicit entries, which scipy's solvers
+        read as edges.
+        """
         if self._csr is None:
             import scipy.sparse as sp
 
-            if self.m:
-                u = np.fromiter((e[0] for e in self.edges), dtype=np.int64, count=self.m)
-                v = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=self.m)
-                w = np.fromiter((e[2] for e in self.edges), dtype=np.float64, count=self.m)
-                rows = np.concatenate([u, v])
-                cols = np.concatenate([v, u])
-                data = np.concatenate([w, w])
-            else:
-                rows = cols = np.zeros(0, dtype=np.int64)
-                data = np.zeros(0, dtype=np.float64)
-            self._csr = sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+            u = np.fromiter((e[0] for e in self.edges), dtype=np.int64, count=self.m)
+            v = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=self.m)
+            w = np.fromiter((e[2] for e in self.edges), dtype=np.float64, count=self.m)
+            rows, cols, data = np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w])
+            order = np.lexsort((data, cols, rows))
+            rows, cols, data = rows[order], cols[order], data[order]
+            first = np.ones(rows.size, dtype=bool)
+            first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+            self._csr = sp.csr_matrix((data[first], (rows[first], cols[first])),
+                                      shape=(self.n, self.n))
         return self._csr
 
     def min_weight(self) -> float:
@@ -166,10 +170,7 @@ def _parse_edgelist(text: str, name: str) -> Graph:
             u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise ValueError(f"{name}:{lineno}: {exc}") from exc
-        try:
-            edges.append((u, v, w))
-        except ValueError:
-            raise
+        edges.append((u, v, w))
     try:
         return make_graph(n, edges)
     except ValueError as exc:

@@ -187,9 +187,9 @@ def approx_greedy_bounded_spread(g: Graph, eps: float, seed: int) -> GreedyPermu
     to the prior selections, so the used set is read off it.
     """
     _check_positive("eps", eps)
-    if g.n == 1:
-        return GreedyPermutation(order=[0], radii=[INF], eps=eps)
     delta = approx_diameter(g)  # also proves connectivity
+    if delta == 0.0:
+        return _all_at_zero(g, eps)
     schedule = LevelSchedule.down_to(delta, eps, g.min_weight())
     rng = np.random.default_rng(seed)
     fld = DistanceField.fresh(g.n)
@@ -203,6 +203,13 @@ def approx_greedy_bounded_spread(g: Graph, eps: float, seed: int) -> GreedyPermu
             order_out.append(v)
     _append_zero_distance_tail(g, fld, order_out, radii)
     return GreedyPermutation(order=order_out, radii=radii, eps=eps)
+
+
+def _all_at_zero(g: Graph, eps: float) -> GreedyPermutation:
+    """The permutation of a graph whose vertices are all at distance 0 from
+    each other (a single vertex, or only zero-weight paths): any order is
+    exact, so take the natural one."""
+    return GreedyPermutation(order=list(range(g.n)), radii=[INF] + [0.0] * (g.n - 1), eps=eps)
 
 
 def _append_zero_distance_tail(g: Graph, fld: DistanceField, order_out, radii) -> None:
@@ -293,9 +300,11 @@ def approx_greedy(g: Graph, eps: float, seed: int) -> GreedyPermutation:
     numpy step; the Python loop visits only those that touch one.
     """
     _check_positive("eps", eps)
-    if g.n == 1:
-        return GreedyPermutation(order=[0], radii=[INF], eps=eps)
     delta = approx_diameter(g)
+    if delta == 0.0:
+        perm = _all_at_zero(g, eps)
+        perm.active_level_counts = np.zeros(g.m, dtype=np.int64)
+        return perm
     eps_run = min(eps, 1.0) / 3.0
     schedule = LevelSchedule.down_to(delta, eps_run, g.min_weight())
     rng = np.random.default_rng(seed)
@@ -349,9 +358,9 @@ def approx_greedy(g: Graph, eps: float, seed: int) -> GreedyPermutation:
         order_out.extend(new.tolist())
         radii.extend([r] * len(new))
     radii[0] = INF
-    fld = DistanceField(np.asarray(
-        [d for d in _final_distances(g, order_out)], dtype=np.float64))
-    _append_zero_distance_tail(g, fld, order_out, radii)
+    if len(order_out) < n:  # only a zero-distance tail can be left
+        _append_zero_distance_tail(g, DistanceField(_final_distances(g, order_out)),
+                                   order_out, radii)
     perm = GreedyPermutation(order=order_out, radii=radii, eps=eps)
     perm.active_level_counts = active_levels  # per-edge diagnostics
     return perm

@@ -19,12 +19,15 @@ counted pairs at distance 3 (1 + eps_o) r, giving the sandwich
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import INF, Graph, dijkstra, is_connected
+from .graphs import Graph, is_connected
+from .greedy import _check_positive
+# Not called here: importable from this module because perfbench/spans.py
+# traces it under the name planar.oracle_rows.
+from .graphs import dijkstra  # noqa: F401
 
 __all__ = [
     "HDNode",
@@ -47,7 +50,7 @@ class HDNode:
 @dataclass
 class HierarchicalDecomposition:
     nodes: list[HDNode]  # root at index 0, leaves are single vertices
-    _pair_cache: list | None = field(default=None, repr=False)
+    _pair_cache: _PairTables | None = field(default=None, repr=False)
 
     def boundary_sizes(self) -> list[int]:
         """Diagnostic: boundary size per internal patch."""
@@ -155,12 +158,20 @@ def build_hd(g: Graph) -> HierarchicalDecomposition:
 
 
 class DistanceOracle:
-    """Interface: query(u, v) in [d(u, v), (1 + eps) d(u, v)]."""
+    """Interface: query(u, v) in [d(u, v), (1 + eps) d(u, v)]; block(us, vs)
+    is the len(us) x len(vs) matrix of the same values."""
 
     eps: float = 0.0
 
     def query(self, u: int, v: int) -> float:
         raise NotImplementedError
+
+    def block(self, us, vs) -> np.ndarray:
+        out = np.empty((len(us), len(vs)), dtype=np.float64)
+        for i, u in enumerate(us):
+            for j, v in enumerate(vs):
+                out[i, j] = self.query(int(u), int(v))
+        return out
 
 
 class _ExactOracle(DistanceOracle):
@@ -171,34 +182,71 @@ class _ExactOracle(DistanceOracle):
         self._rows: dict[int, np.ndarray] = {}
 
     def query(self, u: int, v: int) -> float:
-        if u not in self._rows:
-            if v in self._rows:
-                u, v = v, u
-            else:
-                self._rows[u] = dijkstra(self._g, [(u, 0.0)]).delta
-        return float(self._rows[u][v])
+        return float(self.block([u], [v])[0, 0])
+
+    def block(self, us, vs) -> np.ndarray:
+        # looked up on the module at call time, as in greedy.exact_greedy, so
+        # a tracer that wraps csgraph.dijkstra sees the call
+        import scipy.sparse.csgraph as csg
+
+        us = [int(u) for u in us]
+        missing = [u for u in dict.fromkeys(us) if u not in self._rows]
+        if missing:
+            self._rows.update(zip(missing, csg.dijkstra(self._g.csr(), indices=missing)))
+        vs = np.asarray(vs, dtype=np.int64)
+        out = np.empty((len(us), len(vs)), dtype=np.float64)
+        for i, u in enumerate(us):
+            out[i] = self._rows[u][vs]
+        return out
 
 
 def exact_oracle(g: Graph) -> DistanceOracle:
-    """Dijkstra-backed exact oracle (valid for every eps >= 0), one cached
-    single-source run per distinct query source."""
+    """Exact oracle (valid for every eps >= 0): full single-source rows,
+    computed by one scipy call per block for the sources not yet seen, and
+    kept."""
     if not is_connected(g):
         raise ValueError("graph must be connected")
     return _ExactOracle(g)
 
 
-def _pair_tables(g: Graph, hd: HierarchicalDecomposition) -> list:
-    """Per internal patch: boundary list and, keyed by (side, boundary id),
-    the sorted within-patch distances of the vertices assigned to that
-    boundary vertex.  Assignment = nearest boundary vertex in G[patch] by a
-    labeled multi-source Dijkstra, ties to the smaller vertex id.
-    Radius-independent, computed once per decomposition.
+@dataclass
+class _Patch:
+    """Radius-independent counting tables of one internal patch.
+
+    groups[(side, b)] holds the sorted within-patch distances of the
+    vertices on that side assigned to boundary vertex b.  b1 and b2 are the
+    boundary vertices that own a side-1 and a side-2 group: rows and cols
+    place them in the table's oracle block.  x1 concatenates the side-1
+    groups in b1 order, and own[i] is the index into b1 of x1[i].
+    """
+
+    groups: dict[tuple[int, int], np.ndarray]
+    b2: np.ndarray
+    x1: np.ndarray
+    own: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+@dataclass
+class _PairTables:
+    sources: np.ndarray  # every b1 of every patch: the oracle block's rows
+    targets: np.ndarray  # every b2 of every patch: its columns
+    patches: list[_Patch]
+
+
+def _pair_tables(g: Graph, hd: HierarchicalDecomposition) -> _PairTables:
+    """Per internal patch with groups on both sides: keyed by (side,
+    boundary id), the sorted within-patch distances of the vertices assigned
+    to that boundary vertex, in the layout count_short_pairs scans (see
+    _Patch).  Assignment = nearest boundary vertex in G[patch] by a labeled
+    multi-source Dijkstra, ties to the smaller vertex id.  Radius-independent,
+    computed once per decomposition.
     """
     adj = g.adjacency()
-    tables = []
+    found = []
     for nd in hd.nodes:
         if nd.children is None:
-            tables.append(None)
             continue
         left, right = hd.nodes[nd.children[0]], hd.nodes[nd.children[1]]
         border = sorted(set(left.boundary) | set(right.boundary))
@@ -225,39 +273,49 @@ def _pair_tables(g: Graph, hd: HierarchicalDecomposition) -> list:
         for v, dv in dist.items():
             buckets.setdefault((side[v], label[v]), []).append(dv)
         groups = {key: np.array(sorted(vals)) for key, vals in buckets.items()}
-        tables.append({"border": border, "groups": groups})
-    return tables
+        b1 = [b for b in border if (1, b) in groups]
+        b2 = [b for b in border if (2, b) in groups]
+        if b1 and b2:
+            found.append((groups, b1, b2))
+    sources = np.unique(np.asarray([b for f in found for b in f[1]], dtype=np.int64))
+    targets = np.unique(np.asarray([b for f in found for b in f[2]], dtype=np.int64))
+    patches = []
+    for groups, b1, b2 in found:
+        x1 = [groups[(1, b)] for b in b1]
+        patches.append(_Patch(
+            groups=groups, b2=np.asarray(b2, dtype=np.int64), x1=np.concatenate(x1),
+            own=np.repeat(np.arange(len(b1)), [len(x) for x in x1]),
+            rows=np.searchsorted(sources, b1), cols=np.searchsorted(targets, b2)))
+    return _PairTables(sources=sources, targets=targets, patches=patches)
 
 
 def count_short_pairs(g: Graph, hd: HierarchicalDecomposition, r: float,
                       eps: float, oracle: DistanceOracle) -> int:
-    """Integer alpha with |P_<=r| <= alpha <= |P_<=(3+eps) r|."""
-    if r <= 0 or eps <= 0:
-        raise ValueError("need r > 0 and eps > 0")
+    """Integer alpha with |P_<=r| <= alpha <= |P_<=(3+eps) r|.
+
+    One oracle block covers every (side-1 owner, side-2 owner) pair of every
+    patch.  Per patch, cap = 3r - oracle / (1 + eps_o) over its b1 x b2
+    block, and for each side-2 owner b one searchsorted counts the side-2
+    distances of b within cap[own, b] - x1 of every side-1 vertex.  A
+    negative cap counts nothing, since distances are >= 0.
+    """
+    _check_positive("r", r)
+    _check_positive("eps", eps)
     if len(hd.nodes[0].patch) != g.n:
         raise ValueError("decomposition does not match the graph")
     if oracle.eps > eps / 3.0 + 1e-12:
         raise ValueError(f"oracle eps {oracle.eps} exceeds eps/3 = {eps / 3.0}")
     if hd._pair_cache is None:
         hd._pair_cache = _pair_tables(g, hd)
+    tables = hd._pair_cache
     scale = 1.0 + oracle.eps
+    block = oracle.block(tables.sources, tables.targets)
     alpha = 0
-    for table in hd._pair_cache:
-        if table is None:
-            continue
-        border, groups = table["border"], table["groups"]
-        for a in border:
-            g1 = groups.get((1, a))
-            if g1 is None:
-                continue
-            for b in border:
-                g2 = groups.get((2, b))
-                if g2 is None:
-                    continue
-                cap = 3.0 * r - oracle.query(a, b) / scale
-                if cap < 0.0:
-                    continue
-                alpha += int(np.searchsorted(g2, cap - g1, side="right").sum())
+    for p in tables.patches:
+        cap = 3.0 * r - block[p.rows[:, None], p.cols] / scale
+        for j, b in enumerate(p.b2.tolist()):
+            alpha += int(np.searchsorted(p.groups[(2, b)], cap[p.own, j] - p.x1,
+                                         side="right").sum())
     return alpha
 
 
@@ -271,8 +329,7 @@ def select_kth_distance(g: Graph, k: int, eps: float,
     {w_min (1+eps)^j} whose count reaches k; its grid predecessor certifies
     the lower end of the bracket.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_positive("eps", eps)
     npairs = g.n * (g.n - 1) // 2
     if not 1 <= k <= npairs:
         raise ValueError(f"k must be in [1, {npairs}]")

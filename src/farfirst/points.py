@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greedy import GreedyPermutation, LevelSchedule, Net
+from .greedy import GreedyPermutation, LevelSchedule, Net, _check_positive
 
 __all__ = [
     "PointSet",
@@ -111,8 +111,7 @@ def jl_project(pts: PointSet, eps: float, seed: int) -> PointSet:
 
     Identity when the input dimension is already at or below the target.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_positive("eps", eps)
     target = math.ceil(8.0 * math.log(pts.n) / eps**2) if pts.n > 1 else 1
     target = max(target, 1)
     if pts.d <= target:
@@ -235,8 +234,8 @@ def approx_r_net_points(pts: PointSet, r: float, eps: float, seed: int) -> Net:
     marking rule only ever marks within that radius); packing >= r holds with
     high probability and is the caller's business to verify when it matters.
     """
-    if r <= 0 or eps <= 0:
-        raise ValueError("need r > 0 and eps > 0")
+    _check_positive("r", r)
+    _check_positive("eps", eps)
     rng = np.random.default_rng(seed)
     selected, deltas = _lsh_net_sweep(pts.coords, range(pts.n), r, 1.0 + eps, rng)
     return Net(points=selected, r=r, cover_field=None, selection_deltas=deltas)
@@ -354,8 +353,7 @@ def approx_minmax_tree(pts: PointSet, eps: float, seed: int) -> MinMaxTree:
     the cycle-preventing tie rule).  Path bottlenecks come out within (1+eps)
     of the MST's with high probability.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_positive("eps", eps)
     n = pts.n
     if n < 2:
         raise ValueError("need at least 2 points")
@@ -432,8 +430,7 @@ def approx_greedy_points_bounded_spread(pts: PointSet, eps: float, seed: int) ->
     Runs the schedule at eps' = sqrt(1+eps) - 1 so the net's covering slack
     and the level ratio compound to exactly the claimed eps.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_positive("eps", eps)
     _require_distinct(pts.coords)
     if pts.n == 1:
         return GreedyPermutation(order=[0], radii=[float("inf")], eps=eps)
@@ -487,8 +484,7 @@ def approx_greedy_points(pts: PointSet, eps: float, seed: int) -> GreedyPermutat
     exact distances, which keeps new-versus-old separation deterministic; only
     same-level packing rests on the hash family, hence the whp guarantee.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_positive("eps", eps)
     _require_distinct(pts.coords)
     n = pts.n
     if n == 1:

@@ -4,9 +4,13 @@ The farthest-point search of the naive quadratic algorithm is replaced by a
 restricted partition of the edge set into O(n/k) subgraphs with at most 2w+2
 boundary vertices each.  Boundary vertices keep exact distances to the
 selected set through Dijkstra runs on a boundary graph whose clique edges
-carry within-subgraph shortest paths; interior vertices are found by L-inf
-nearest-neighbor queries against static per-subgraph distance vectors, so a
-round touches one subgraph's index instead of the whole graph.
+carry within-subgraph shortest paths; the farthest interior vertex comes
+from one vectorised scan of a matrix of static within-subgraph distances to
+the boundary, at most n x (2w + 2) entries.
+
+The L-inf nearest-neighbor index (linf_build, linf_query) no longer serves
+the greedy; it stays public and tested, and perfbench/spans.py traces it
+under these names.
 """
 
 from __future__ import annotations
@@ -367,6 +371,14 @@ def exact_greedy_treewidth(g: Graph, td: TreeDecomposition) -> GreedyPermutation
     """Exact greedy permutation, identical to the naive quadratic algorithm
     started at vertex 0 (every round breaks farthest-distance ties toward the
     smallest vertex id; the all-equal first round therefore picks 0).
+
+    An interior vertex x of subgraph s is at distance
+    min(w0[x], min_b F[x, b] + d[b]) from the selection, with w0 its
+    distance to the selections inside s, F its within-s distances to the
+    boundary vertices b of s, and d the boundary vertices' distances to the
+    selection.  F is one matrix over all interior vertices with +inf in the
+    slots a small boundary leaves unused, so a round is one vectorised scan
+    of at most n x (2w + 2) entries.
     """
     n = g.n
     if n == 1:
@@ -376,10 +388,10 @@ def exact_greedy_treewidth(g: Graph, td: TreeDecomposition) -> GreedyPermutation
     w = td.width
     k = max(math.isqrt(n - 1) + 1, (w + 1) * w // 2, 1)
     part = restricted_partition(g, td, k)
-    big_z = float((n + 1) * g.max_weight() + 1)
+    subs = part.subgraphs
 
     sub_adj: list[dict[int, list[tuple[int, float]]]] = []
-    for sub in part.subgraphs:
+    for sub in subs:
         adj: dict[int, list[tuple[int, float]]] = {v: [] for v in sub.vertices}
         for eid in sub.edge_ids:
             u, v, wt = g.edges[eid]
@@ -387,64 +399,64 @@ def exact_greedy_treewidth(g: Graph, td: TreeDecomposition) -> GreedyPermutation
             adj[v].append((u, wt))
         sub_adj.append(adj)
 
-    h_adj: dict[int, list[tuple[int, float]]] = {}
-    coords: list[np.ndarray | None] = []
-    indexes: list[LinfIndex | None] = []
-    d: dict[int, float] = {}
+    bverts = sorted({b for sub in subs for b in sub.boundary})
+    bidx = {b: i for i, b in enumerate(bverts)}
+    interior = sorted(x for sub in subs for x in sub.interior)
+    row_of = {x: i for i, x in enumerate(interior)}
+    slots = max([len(sub.boundary) for sub in subs if sub.interior], default=0)
+    # F[row, slot] + d[B[row, slot]]; unused slots read the +inf pad d[-1]
+    F = np.full((len(interior), max(slots, 1)), INF)
+    B = np.full(F.shape, len(bverts), dtype=np.int64)
     home = [-1] * n
-    for si, sub in enumerate(part.subgraphs):
+    home_rows: list[np.ndarray] = []
+    h_adj: dict[int, list[tuple[int, float]]] = {}
+    for si, sub in enumerate(subs):
         from_boundary = [_sp_dict(sub_adj[si], b) for b in sub.boundary]
         for j, b in enumerate(sub.boundary):
-            d[b] = big_z
             for l in range(j + 1, len(sub.boundary)):
                 through = from_boundary[j].get(sub.boundary[l])
                 if through is not None:
                     h_adj.setdefault(b, []).append((sub.boundary[l], through))
                     h_adj.setdefault(sub.boundary[l], []).append((b, through))
-        if sub.interior:
-            mat = np.full((len(sub.interior), len(sub.boundary) + 1), big_z)
-            for row, x in enumerate(sub.interior):
-                home[x] = si
-                for j in range(len(sub.boundary)):
-                    mat[row, 1 + j] = from_boundary[j].get(x, big_z)
-            coords.append(mat)
-            indexes.append(linf_build(mat, "tree"))
-        else:
-            coords.append(None)
-            indexes.append(None)
+        for x in sub.interior:
+            home[x] = si
+            row = row_of[x]
+            for j, b in enumerate(sub.boundary):
+                F[row, j] = from_boundary[j].get(x, INF)
+                B[row, j] = bidx[b]
+        home_rows.append(np.asarray([row_of[x] for x in sub.interior], dtype=np.int64))
 
-    boundary_order = sorted(d)
+    d = np.full(len(bverts) + 1, INF)
+    w0 = np.full(len(interior), INF)
+    taken = np.zeros(len(bverts), dtype=bool)
     order: list[int] = []
     radii: list[float] = []
     for rnd in range(n):
+        # selected vertices are parked at -1, below every distance
         best_val, best_v = -1.0, -1
-        for si, sub in enumerate(part.subgraphs):
-            if indexes[si] is None:
-                continue
-            q = np.empty(len(sub.boundary) + 1)
-            q[0] = 2.0 * big_z
-            for j, b in enumerate(sub.boundary):
-                q[1 + j] = 2.0 * big_z - d[b]
-            pid, ldist = linf_query(indexes[si], q)
-            val, v = 2.0 * big_z - ldist, sub.interior[pid]
-            if val > best_val or (val == best_val and v < best_v):
-                best_val, best_v = val, v
-        for b in boundary_order:
-            if d[b] > best_val or (d[b] == best_val and b < best_v):
-                best_val, best_v = d[b], b
+        if interior:
+            val = np.minimum(w0, (F + d[B]).min(axis=1))
+            i = int(np.argmax(val))  # rows run in vertex order: smallest-id ties
+            best_val, best_v = float(val[i]), interior[i]
+        if bverts:
+            db = np.where(taken, -1.0, d[:-1])
+            j = int(np.argmax(db))
+            if db[j] > best_val or (db[j] == best_val and bverts[j] < best_v):
+                best_val, best_v = float(db[j]), bverts[j]
         order.append(best_v)
         radii.append(INF if rnd == 0 else best_val)
         si = home[best_v]
         if si >= 0:
             within = _sp_dict(sub_adj[si], best_v)
-            mat = coords[si]
-            for row, x in enumerate(part.subgraphs[si].interior):
-                mat[row, 0] = min(mat[row, 0], within.get(x, big_z))
-            indexes[si] = linf_build(mat, "tree")
+            rows = home_rows[si]
+            w0[rows] = np.minimum(w0[rows], [within.get(x, INF) for x in subs[si].interior])
+            w0[row_of[best_v]] = -1.0
             reach = _sp_dict(h_adj, best_v, extra=sub_adj[si])
         else:
+            taken[bidx[best_v]] = True
             reach = _sp_dict(h_adj, best_v)
         for b, dist in reach.items():
-            if b in d and dist < d[b]:
-                d[b] = dist
+            i = bidx.get(b)
+            if i is not None and dist < d[i]:
+                d[i] = dist
     return GreedyPermutation(order=order, radii=radii, eps=0.0)

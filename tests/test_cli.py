@@ -217,6 +217,21 @@ def test_non_finite_parameters_are_exit_2(files, capsys, argv):
     assert len(err) == 1 and "finite and positive" in err[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "-r", "nan", "--planar", "--graph", "k3.edg"],
+    ["count", "-r", "inf", "--planar", "--graph", "k3.edg"],
+    ["select", "-k", "2", "--eps", "nan", "--planar", "--graph", "k3.edg"],
+    ["greedy", "--eps", "nan", "--points", "pts.xy"],
+    ["greedy", "--eps", "nan", "--bounded-spread", "--points", "pts.xy"],
+    ["net", "-r", "1", "--eps", "inf", "--points", "pts.xy"],
+    ["net", "-r", "nan", "--points", "pts.xy"],
+])
+def test_non_finite_parameters_on_planar_and_points_are_exit_2(files, capsys, argv):
+    assert main(argv[:-1] + [files[argv[-1]]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "finite and positive" in err[0]
+
+
 def test_nan_edge_weight_is_exit_2(tmp_path, capsys):
     p = tmp_path / "nan.edg"
     p.write_text("3 2\n0 1 1\n1 2 nan\n")

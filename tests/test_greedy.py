@@ -129,6 +129,26 @@ def test_exact_greedy_matches_brute_oracle():
         assert mine.radii == pytest.approx(ref.radii)
 
 
+def test_exact_greedy_on_multigraphs_with_zero_and_parallel_edges():
+    # the lightest of parallel edges counts, and a zero weight is an edge
+    assert exact_greedy(make_graph(2, [(0, 1, 3.0), (0, 1, 2.0)]), 0).radii == [INF, 2.0]
+    assert exact_greedy(make_graph(2, [(0, 1, 3.0), (1, 0, 0.0)]), 0).radii == [INF, 0.0]
+    rng = np.random.default_rng(16)
+    for _ in range(10):
+        n = int(rng.integers(2, 40))
+        g = random_connected_graph(n, int(rng.integers(n - 1, 2 * n)), rng)
+        extra = []
+        for i in rng.integers(0, g.m, size=g.m // 2 + 1):
+            u, v, w = g.edges[int(i)]
+            extra.append((v, u, float(rng.choice([0.0, 0.5 * w, 2.0 * w]))))
+        g = make_graph(n, g.edges + extra)
+        for first in (0, n - 1):
+            mine = exact_greedy(g, first)
+            ref = brute_greedy(apsp_exact(g), first)
+            assert mine.order == ref.order
+            assert mine.radii == pytest.approx(ref.radii)
+
+
 def test_exact_greedy_scale_invariance():
     rng = np.random.default_rng(13)
     g = random_connected_graph(40, 90, rng)
@@ -206,6 +226,27 @@ def test_bounded_spread_guards(path4):
 
 
 # --- approximate greedy, spread independent ---
+
+
+def test_approx_greedy_single_vertex_has_active_counts():
+    perm = approx_greedy(make_graph(1, []), 0.5, seed=1)
+    assert perm.order == [0] and perm.radii == [INF]
+    assert perm.active_level_counts.dtype == np.int64
+    assert perm.active_level_counts.shape == (0,)
+
+
+def test_zero_diameter_graphs_take_the_natural_order():
+    """Every pair at distance 0, though a positive weight is present: both
+    variants return 0..n-1 with zero radii instead of rejecting the graph."""
+    for g in (make_graph(3, [(0, 1, 3.0), (1, 0, 0.0), (2, 1, 0.0)]),
+              make_graph(2, [(0, 1, 0.0)])):
+        ref = exact_greedy(g, 0)
+        for variant in (approx_greedy, approx_greedy_bounded_spread):
+            perm = variant(g, 0.5, seed=1)
+            assert perm.order == ref.order == list(range(g.n))
+            assert perm.radii == ref.radii == [INF] + [0.0] * (g.n - 1)
+        assert np.array_equal(approx_greedy(g, 0.5, seed=1).active_level_counts,
+                              np.zeros(g.m, dtype=np.int64))
 
 
 def test_approx_greedy_tiny_extreme_spread_path():

@@ -9,8 +9,8 @@ import pytest
 from farfirst.generators import delaunay_graph, grid_graph
 from farfirst.graphs import make_graph
 from farfirst.oracles import apsp_exact, exact_count, exact_select
-from farfirst.planar import (build_hd, count_short_pairs, exact_oracle,
-                             select_kth_distance)
+from farfirst.planar import (DistanceOracle, _pair_tables, build_hd, count_short_pairs,
+                             exact_oracle, select_kth_distance)
 
 from conftest import complete_graph, path_graph
 
@@ -101,7 +101,57 @@ def test_exact_oracle_matches_apsp():
         assert orc.query(int(u), int(v)) == dm[u, v]
 
 
+def test_exact_oracle_block_matches_apsp_and_default_block():
+    rng = np.random.default_rng(4)
+    g = delaunay_graph(40, rng)
+    dm = apsp_exact(g)
+    orc = exact_oracle(g)
+    us, vs = [5, 0, 5, 17], [3, 3, 39, 0, 12]
+    assert np.array_equal(orc.block(us, vs), dm[np.ix_(us, vs)])
+    assert orc.block([], vs).shape == (0, 5)
+
+    class ByQuery(DistanceOracle):
+        def query(self, u, v):
+            return float(dm[u, v])
+
+    assert np.array_equal(ByQuery().block(us, vs), dm[np.ix_(us, vs)])
+
+
 # --- counting ---
+
+
+def _count_per_pair(g, hd, r, eps, oracle):
+    """Reference count: one oracle query and one searchsorted per
+    (side-1 owner, side-2 owner) pair of every patch."""
+    scale = 1.0 + oracle.eps
+    alpha = 0
+    for p in _pair_tables(g, hd).patches:
+        for (side1, a), g1 in p.groups.items():
+            for (side2, b), g2 in p.groups.items():
+                if (side1, side2) != (1, 2):
+                    continue
+                cap = 3.0 * r - oracle.query(a, b) / scale
+                if cap < 0.0:
+                    continue
+                alpha += int(np.searchsorted(g2, cap - g1, side="right").sum())
+    return alpha
+
+
+def test_count_equals_per_pair_reference():
+    rng = np.random.default_rng(5)
+    graphs = (delaunay_graph(90, rng), grid_graph(8, 9, rng=rng, w_hi=6),
+              path_graph(13), complete_graph(3),
+              make_graph(20, [(i, i + 1, float(rng.uniform(0.5, 3.0))) for i in range(19)]))
+    for g in graphs:
+        hd = build_hd(g)
+        orc = exact_oracle(g)
+        top = apsp_exact(g).max()
+        # whole radii make ties between a cap and a distance on integer weights
+        radii = [frac * top for frac in (0.0001, 0.05, 0.3, 0.7, 1.5)] + [1.0, 2.0, 3.0, 5.0]
+        for eps in (0.1, 0.5):
+            for r in radii:
+                assert count_short_pairs(g, hd, r, eps, orc) == \
+                    _count_per_pair(g, hd, r, eps, orc), (g.n, r, eps)
 
 
 def test_count_triangle_degenerate_sandwich():
@@ -168,6 +218,11 @@ def test_count_guards():
         count_short_pairs(g, hd, 0.0, 0.5, orc)
     with pytest.raises(ValueError):
         count_short_pairs(g, hd, 1.0, 0.0, orc)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            count_short_pairs(g, hd, bad, 0.5, orc)
+        with pytest.raises(ValueError, match="finite and positive"):
+            count_short_pairs(g, hd, 1.0, bad, orc)
     wrong = build_hd(path_graph(3))
     with pytest.raises(ValueError, match="match"):
         count_short_pairs(g, wrong, 1.0, 0.5, orc)
@@ -226,3 +281,6 @@ def test_select_k_out_of_range():
         select_kth_distance(g, 0, 0.5)
     with pytest.raises(ValueError):
         select_kth_distance(g, 7, 0.5)
+    for bad in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            select_kth_distance(g, 2, bad)

@@ -237,3 +237,29 @@ def test_tw_greedy_radii_are_true_eccentricities():
     for i in range(1, g.n):
         ecc = dm[perm.order[:i]].min(axis=0).max()
         assert perm.radii[i] == pytest.approx(ecc)
+
+
+def test_tw_greedy_real_weights_match_naive():
+    """Weights 10^U(0,6): the radii are exact sums, not recovered through a
+    2Z - d embedding, so they agree with the naive greedy to rounding."""
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        g, doc = random_ktree(200, 3, rng)
+        g = make_graph(g.n, [(u, v, float(10.0 ** rng.uniform(0.0, 6.0)))
+                             for u, v, _ in g.edges])
+        mine = exact_greedy_treewidth(g, parse_tree_decomposition(doc, g))
+        ref = exact_greedy(g, 0)
+        assert mine.order == ref.order
+        rel = np.abs(np.subtract(mine.radii[1:], ref.radii[1:])) / np.asarray(ref.radii[1:])
+        assert rel.max() <= 1e-12
+
+
+def test_tw_greedy_zero_weights_select_each_vertex_once():
+    rng = np.random.default_rng(8)
+    g, doc = random_ktree(40, 2, rng, w_hi=3)
+    g = make_graph(g.n, [(u, v, float(int(w) % 3)) for u, v, w in g.edges])
+    mine = exact_greedy_treewidth(g, parse_tree_decomposition(doc, g))
+    ref = exact_greedy(g, 0)
+    assert sorted(mine.order) == list(range(g.n))
+    assert mine.order == ref.order
+    assert mine.radii == ref.radii
