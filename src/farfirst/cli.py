@@ -1,7 +1,8 @@
 """Command-line interface: greedy permutations, nets, k-center, planar
 counting/selection, and a benchmark harness over one entry point.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
+Exit codes: 0 success, 1 verification failure, 2 usage or input errors,
+3 internal invariant failure.
 All algorithmic outputs are byte-deterministic for a fixed config and seed;
 bench rows contain wall-clock times and are the documented exception.
 """
@@ -225,7 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--eps", type=float, default=0.5)
         if seed:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--output", default=None, help="write result here instead of stdout")
 
     p = sub.add_parser("greedy", help="greedy permutation (farthest-first traversal)")
@@ -281,9 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) > 1:
-        print("warning: --threads > 1 requested; running sequentially for "
-              "deterministic output", file=sys.stderr)
     if getattr(args, "graph", None) is None and getattr(args, "points", None) is None:
         print("error: an input file is required (--graph or --points)", file=sys.stderr)
         return 2
@@ -292,6 +289,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

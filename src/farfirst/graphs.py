@@ -2,7 +2,9 @@
 
 The distance field abstraction (one delta value per vertex, lowered in place
 by pruned Dijkstra runs) is the workhorse shared by the net and greedy
-permutation algorithms.
+permutation algorithms.  Whole-graph and multi-source searches run in
+scipy's Dijkstra over one CSR builder; the pruned relaxation stays a Python
+heap loop, because its pruning is what the net sweep's amortisation counts.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csg
 
 INF = float("inf")
 
@@ -48,25 +52,10 @@ class Graph:
         return self._adj
 
     def csr(self):
-        """Sparse CSR adjacency (scipy), cached; used by the bulk solvers.
-
-        Of parallel edges only the lightest is kept (scipy would sum them),
-        and zero weights stay as explicit entries, which scipy's solvers
-        read as edges.
-        """
+        """Sparse CSR adjacency (scipy), cached; used by the bulk solvers."""
         if self._csr is None:
-            import scipy.sparse as sp
-
-            u = np.fromiter((e[0] for e in self.edges), dtype=np.int64, count=self.m)
-            v = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=self.m)
-            w = np.fromiter((e[2] for e in self.edges), dtype=np.float64, count=self.m)
-            rows, cols, data = np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w])
-            order = np.lexsort((data, cols, rows))
-            rows, cols, data = rows[order], cols[order], data[order]
-            first = np.ones(rows.size, dtype=bool)
-            first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            self._csr = sp.csr_matrix((data[first], (rows[first], cols[first])),
-                                      shape=(self.n, self.n))
+            e = np.array(self.edges, dtype=np.float64).reshape(-1, 3)
+            self._csr = _csr(self.n, e[:, 0], e[:, 1], e[:, 2])
         return self._csr
 
     def min_weight(self) -> float:
@@ -80,6 +69,23 @@ class Graph:
         if not self.edges:
             return 0.0
         return max(w for _, _, w in self.edges)
+
+
+def _csr(n: int, u, v, w):
+    """Symmetric n x n CSR matrix of the undirected edges (u[i], v[i], w[i]).
+
+    Of parallel edges only the lightest is kept (scipy would sum them), and
+    zero weights stay as explicit entries, which scipy's solvers read as
+    edges.
+    """
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    w = np.asarray(w, dtype=np.float64)
+    rows, cols, data = np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w])
+    order = np.lexsort((data, cols, rows))
+    rows, cols, data = rows[order], cols[order], data[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    return sp.csr_matrix((data[first], (rows[first], cols[first])), shape=(n, n))
 
 
 def make_graph(n: int, edges) -> Graph:
@@ -115,6 +121,22 @@ class DistanceField:
 # --- file formats ---
 
 
+def read_input(source, what: str) -> tuple[str, str]:
+    """(name, text) of an input given as a path or as the text itself.
+
+    A Path or a newline-free non-blank string is a path; anything else is
+    the file text, named "<string>".  `what` names the input in the error
+    raised for a file that cannot be read.
+    """
+    if isinstance(source, Path) or (
+            isinstance(source, str) and "\n" not in source and source.strip()):
+        try:
+            return str(source), Path(source).read_text()
+        except OSError as exc:
+            raise ValueError(f"{source}: cannot read {what}: {exc}") from exc
+    return "<string>", str(source)
+
+
 def parse_graph(source, fmt: str | None = None) -> Graph:
     """Read a graph from a path or a text blob.
 
@@ -122,23 +144,9 @@ def parse_graph(source, fmt: str | None = None) -> Graph:
     "gr" (DIMACS-like: c comments, "p <tag> n m", 1-based "a u v w" lines).
     fmt=None picks by file extension, defaulting to edgelist.
     """
-    name = "<string>"
-    # a newline-free non-blank string is a path; anything else is file text
-    if isinstance(source, (str, Path)) and (
-            isinstance(source, Path) or ("\n" not in source and source.strip())):
-        path = Path(source)
-        name = str(path)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ValueError(f"{name}: cannot read graph file: {exc}") from exc
-        if fmt is None:
-            fmt = "gr" if path.suffix == ".gr" else "edgelist"
-    else:
-        text = str(source)
-        if fmt is None:
-            fmt = "edgelist"
-
+    name, text = read_input(source, "graph file")
+    if fmt is None:
+        fmt = "gr" if Path(name).suffix == ".gr" else "edgelist"
     if fmt == "edgelist":
         return _parse_edgelist(text, name)
     if fmt == "gr":
@@ -227,33 +235,12 @@ def write_graph(g: Graph, path) -> None:
 
 
 def dijkstra(g: Graph, sources) -> DistanceField:
-    """Multi-source Dijkstra; sources is an iterable of (vertex, offset).
-
-    delta(v) = min over sources of offset + dist(source, v).  Heap ties break
-    on the smaller vertex id.
-    """
+    """Multi-source Dijkstra: delta(v) is the distance from v to the
+    nearest of the source vertices."""
     sources = list(sources)
     if not sources:
         raise ValueError("empty source set")
-    adj = g.adjacency()
-    delta = np.full(g.n, INF, dtype=np.float64)
-    heap: list[tuple[float, int]] = []
-    for v, off in sources:
-        off = float(off)
-        if off < delta[v]:
-            delta[v] = off
-            heap.append((off, int(v)))
-    heapq.heapify(heap)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > delta[u]:
-            continue
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < delta[v]:
-                delta[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return DistanceField(delta=delta)
+    return DistanceField(delta=csg.dijkstra(g.csr(), indices=sources, min_only=True))
 
 
 def dijkstra_truncated(g: Graph, sources, cutoff: float) -> dict[int, float]:
@@ -261,25 +248,9 @@ def dijkstra_truncated(g: Graph, sources, cutoff: float) -> dict[int, float]:
 
     Returns {vertex: distance} for every vertex at distance <= cutoff.
     """
-    adj = g.adjacency()
-    dist: dict[int, float] = {}
-    heap: list[tuple[float, int]] = []
-    for v, off in sources:
-        off = float(off)
-        if off <= cutoff and off < dist.get(v, INF):
-            dist[v] = off
-            heap.append((off, int(v)))
-    heapq.heapify(heap)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, INF):
-            continue
-        for v, w in adj[u]:
-            nd = d + w
-            if nd <= cutoff and nd < dist.get(v, INF):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
+    dist = csg.dijkstra(g.csr(), indices=list(sources), min_only=True, limit=cutoff)
+    near = np.flatnonzero(dist <= cutoff)
+    return dict(zip(near.tolist(), dist[near].tolist()))
 
 
 def pruned_dijkstra_relax(g: Graph, source: int, field: DistanceField) -> int:
@@ -310,7 +281,7 @@ def pruned_dijkstra_relax(g: Graph, source: int, field: DistanceField) -> int:
 
 def approx_diameter(g: Graph) -> float:
     """2-approximation of the diameter: twice the eccentricity of vertex 0."""
-    f = dijkstra(g, [(0, 0.0)])
+    f = dijkstra(g, [0])
     ecc = float(np.max(f.delta))
     if ecc == INF:
         raise ValueError("graph is disconnected")
@@ -327,7 +298,7 @@ def spread(g: Graph) -> float:
 def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
-    f = dijkstra(g, [(0, 0.0)])
+    f = dijkstra(g, [0])
     return bool(np.all(np.isfinite(f.delta)))
 
 
@@ -443,7 +414,6 @@ class ContractedGraph:
     Active edges are remapped onto representatives; self-loops are dropped.
     """
 
-    base: Graph
     rep: np.ndarray
     edges: list[tuple[int, int, float, int]]  # (rep_u, rep_v, w, original edge index)
 
@@ -468,4 +438,4 @@ def contract_graph(g: Graph, contracted_idx, active_idx) -> ContractedGraph:
         ru, rv = int(rep[u]), int(rep[v])
         if ru != rv:
             edges.append((ru, rv, w, int(i)))
-    return ContractedGraph(base=g, rep=rep, edges=edges)
+    return ContractedGraph(rep=rep, edges=edges)

@@ -12,6 +12,7 @@ selection is carried across levels whose working graph is unchanged.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -229,34 +230,14 @@ def _append_zero_distance_tail(g: Graph, fld: DistanceField, order_out, radii) -
 # --- approximate greedy, spread-free ---
 
 
-def _truncated_multisource(adj, sources, cutoff: float) -> dict[int, float]:
-    """Dijkstra over a dict adjacency, never expanding past the cutoff."""
-    import heapq
-
-    dist: dict[int, float] = {}
-    heap = []
+def _truncated_relax(adj, sources, dist: dict, cutoff: float) -> None:
+    """Zero the sources in dist and relax outward over a dict adjacency,
+    never past the cutoff, so dist ends as the pointwise minimum of its
+    prior values and the sources' truncated distances."""
+    heap = [(0.0, s) for s in sources]
     for s in sources:
-        if 0.0 < dist.get(s, INF):
-            dist[s] = 0.0
-            heap.append((0.0, s))
+        dist[s] = 0.0
     heapq.heapify(heap)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, INF):
-            continue
-        for v, w in adj.get(u, ()):
-            nd = d + w
-            if nd <= cutoff and nd < dist.get(v, INF):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
-def _truncated_relax(adj, source: int, dist: dict, cutoff: float) -> None:
-    import heapq
-
-    dist[source] = 0.0
-    heap = [(0.0, source)]
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist.get(u, INF):
@@ -343,7 +324,8 @@ def approx_greedy(g: Graph, eps: float, seed: int) -> GreedyPermutation:
             touch = np.zeros(n, dtype=bool)
             touch[list(adj)] = True
             # every selected vertex is still its class's min id, hence a rep
-            wd = _truncated_multisource(adj, np.flatnonzero(chosen & touch).tolist(), cutoff=r)
+            wd = {}
+            _truncated_relax(adj, np.flatnonzero(chosen & touch).tolist(), wd, cutoff=r)
         perm = rng.permutation(reps)
         reached = touch[perm]
         # a rep without active edges is reached by no relaxation
@@ -352,7 +334,7 @@ def approx_greedy(g: Graph, eps: float, seed: int) -> GreedyPermutation:
         for j, s in zip(at.tolist(), perm[at].tolist()):
             if wd.get(s, INF) >= r:
                 take[j] = True
-                _truncated_relax(adj, s, wd, cutoff=r)
+                _truncated_relax(adj, [s], wd, cutoff=r)
         new = perm[take]
         chosen[new] = True
         order_out.extend(new.tolist())
@@ -369,7 +351,7 @@ def approx_greedy(g: Graph, eps: float, seed: int) -> GreedyPermutation:
 def _final_distances(g: Graph, selected) -> np.ndarray:
     from .graphs import dijkstra
 
-    return dijkstra(g, [(v, 0.0) for v in selected]).delta
+    return dijkstra(g, selected).delta
 
 
 # --- k-center ---

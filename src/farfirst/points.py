@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graphs import read_input
 from .greedy import GreedyPermutation, LevelSchedule, Net, _check_positive
 
 __all__ = [
@@ -58,19 +59,7 @@ class PointSet:
 
 def parse_points(source) -> PointSet:
     """Read a point file: header "n d", then n coordinate rows."""
-    from pathlib import Path
-
-    name = "<string>"
-    # a newline-free non-blank string is a path; anything else is file text
-    if isinstance(source, (str, Path)) and (
-            isinstance(source, Path) or ("\n" not in source and source.strip())):
-        name = str(source)
-        try:
-            text = Path(source).read_text()
-        except OSError as exc:
-            raise ValueError(f"{name}: cannot read point file: {exc}") from exc
-    else:
-        text = str(source)
+    name, text = read_input(source, "point file")
     rows = [(i + 1, ln.split()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
     if not rows:
         raise ValueError(f"{name}: empty point file")

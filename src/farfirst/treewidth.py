@@ -2,11 +2,12 @@
 
 The farthest-point search of the naive quadratic algorithm is replaced by a
 restricted partition of the edge set into O(n/k) subgraphs with at most 2w+2
-boundary vertices each.  Boundary vertices keep exact distances to the
-selected set through Dijkstra runs on a boundary graph whose clique edges
-carry within-subgraph shortest paths; the farthest interior vertex comes
-from one vectorised scan of a matrix of static within-subgraph distances to
-the boundary, at most n x (2w + 2) entries.
+boundary vertices each.  The distances between boundary vertices are
+computed once, as one matrix over the boundary graph whose clique edges
+carry within-subgraph shortest paths; with static within-subgraph distances
+they keep every vertex's distance to the selected set in vectorised steps,
+and the farthest interior vertex comes from one scan of a matrix of at most
+n x (2w + 2) within-subgraph distances to the boundary.
 
 The L-inf nearest-neighbor index (linf_build, linf_query) no longer serves
 the greedy; it stays public and tested, and perfbench/spans.py traces it
@@ -15,13 +16,13 @@ under these names.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse.csgraph as csg
 
-from .graphs import INF, Graph, is_connected
+from .graphs import INF, DisjointSets, Graph, _csr, is_connected, read_input
 from .greedy import GreedyPermutation
 
 __all__ = [
@@ -52,19 +53,7 @@ def parse_tree_decomposition(source, g: Graph) -> TreeDecomposition:
     """Read and validate a decomposition: header "b w", b bag lines of
     space-separated members, then b-1 tree-edge lines "i j".
     """
-    from pathlib import Path
-
-    name = "<string>"
-    # a newline-free non-blank string is a path; anything else is file text
-    if isinstance(source, (str, Path)) and (
-            isinstance(source, Path) or ("\n" not in source and source.strip())):
-        name = str(source)
-        try:
-            text = Path(source).read_text()
-        except OSError as exc:
-            raise ValueError(f"{name}: cannot read decomposition: {exc}") from exc
-    else:
-        text = str(source)
+    name, text = read_input(source, "decomposition")
     rows = [(i + 1, ln.split()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
     if not rows:
         raise ValueError(f"{name}: empty decomposition")
@@ -91,8 +80,6 @@ def parse_tree_decomposition(source, g: Graph) -> TreeDecomposition:
     width = max(len(bag) for bag in bags) - 1
     if width != w:
         raise ValueError(f"{name}: header claims width {w}, bags have width {width}")
-    from .graphs import DisjointSets
-
     dsu = DisjointSets(b)
     tree_edges: list[tuple[int, int]] = []
     for lineno, parts in rows[1 + b:]:
@@ -347,26 +334,6 @@ def linf_query(index: LinfIndex, q) -> tuple[int | None, float]:
 # --- the main algorithm ---
 
 
-def _sp_dict(adj: dict[int, list[tuple[int, float]]], source: int,
-             extra: dict[int, list[tuple[int, float]]] | None = None) -> dict[int, float]:
-    """Dijkstra over a dict adjacency (optionally merged with a second one)."""
-    dist = {source: 0.0}
-    heap = [(0.0, source)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist.get(u, INF):
-            continue
-        rows = adj.get(u, ())
-        if extra is not None:
-            rows = list(rows) + list(extra.get(u, ()))
-        for v, w in rows:
-            alt = du + w
-            if alt < dist.get(v, INF):
-                dist[v] = alt
-                heapq.heappush(heap, (alt, v))
-    return dist
-
-
 def exact_greedy_treewidth(g: Graph, td: TreeDecomposition) -> GreedyPermutation:
     """Exact greedy permutation, identical to the naive quadratic algorithm
     started at vertex 0 (every round breaks farthest-distance ties toward the
@@ -379,6 +346,13 @@ def exact_greedy_treewidth(g: Graph, td: TreeDecomposition) -> GreedyPermutation
     selection.  F is one matrix over all interior vertices with +inf in the
     slots a small boundary leaves unused, so a round is one vectorised scan
     of at most n x (2w + 2) entries.
+
+    Every shortest path between boundary vertices splits into
+    within-subgraph segments that end at boundary vertices, so the distances
+    DH of the boundary graph, whose clique edges carry within-subgraph
+    distances, are graph distances.  A selected boundary vertex b lowers d
+    by DH[b]; a selected interior x lowers it by min_b F[x, b] + DH[b] and
+    lowers w0 by its within-s distances.
     """
     n = g.n
     if n == 1:
@@ -387,48 +361,52 @@ def exact_greedy_treewidth(g: Graph, td: TreeDecomposition) -> GreedyPermutation
         raise ValueError("graph must be connected")
     w = td.width
     k = max(math.isqrt(n - 1) + 1, (w + 1) * w // 2, 1)
-    part = restricted_partition(g, td, k)
-    subs = part.subgraphs
-
-    sub_adj: list[dict[int, list[tuple[int, float]]]] = []
-    for sub in subs:
-        adj: dict[int, list[tuple[int, float]]] = {v: [] for v in sub.vertices}
-        for eid in sub.edge_ids:
-            u, v, wt = g.edges[eid]
-            adj[u].append((v, wt))
-            adj[v].append((u, wt))
-        sub_adj.append(adj)
+    subs = restricted_partition(g, td, k).subgraphs
 
     bverts = sorted({b for sub in subs for b in sub.boundary})
+    nb = len(bverts)
     bidx = {b: i for i, b in enumerate(bverts)}
     interior = sorted(x for sub in subs for x in sub.interior)
     row_of = {x: i for i, x in enumerate(interior)}
     slots = max([len(sub.boundary) for sub in subs if sub.interior], default=0)
-    # F[row, slot] + d[B[row, slot]]; unused slots read the +inf pad d[-1]
+    # F[row, slot] + d[B[row, slot]]; unused slots read the +inf pad d[nb]
     F = np.full((len(interior), max(slots, 1)), INF)
-    B = np.full(F.shape, len(bverts), dtype=np.int64)
-    home = [-1] * n
+    B = np.full(F.shape, nb, dtype=np.int64)
+    home: dict[int, tuple[int, int]] = {}  # interior vertex -> (subgraph, place)
     home_rows: list[np.ndarray] = []
-    h_adj: dict[int, list[tuple[int, float]]] = {}
+    within: list[np.ndarray] = []  # per subgraph, interior x interior distances
+    hu: list[int] = []
+    hv: list[int] = []
+    hw: list[float] = []
+    eu, ev, ew = (np.asarray(col) for col in zip(*g.edges))
     for si, sub in enumerate(subs):
-        from_boundary = [_sp_dict(sub_adj[si], b) for b in sub.boundary]
-        for j, b in enumerate(sub.boundary):
-            for l in range(j + 1, len(sub.boundary)):
-                through = from_boundary[j].get(sub.boundary[l])
-                if through is not None:
-                    h_adj.setdefault(b, []).append((sub.boundary[l], through))
-                    h_adj.setdefault(sub.boundary[l], []).append((b, through))
-        for x in sub.interior:
-            home[x] = si
-            row = row_of[x]
-            for j, b in enumerate(sub.boundary):
-                F[row, j] = from_boundary[j].get(x, INF)
-                B[row, j] = bidx[b]
-        home_rows.append(np.asarray([row_of[x] for x in sub.interior], dtype=np.int64))
+        verts = np.asarray(sub.vertices)
+        ids = np.asarray(sub.edge_ids)
+        dist = csg.dijkstra(_csr(verts.size, np.searchsorted(verts, eu[ids]),
+                                 np.searchsorted(verts, ev[ids]), ew[ids]))
+        bl, il = np.searchsorted(verts, sub.boundary), np.searchsorted(verts, sub.interior)
+        bg = np.asarray([bidx[b] for b in sub.boundary], dtype=np.int64)
+        j, l = np.triu_indices(bl.size, 1)
+        through = dist[bl[j], bl[l]]
+        ok = np.isfinite(through)
+        hu += bg[j[ok]].tolist()
+        hv += bg[l[ok]].tolist()
+        hw += through[ok].tolist()
+        rows = np.asarray([row_of[x] for x in sub.interior], dtype=np.int64)
+        if rows.size:  # F has no slots for the boundary of an all-boundary subgraph
+            F[rows, :bl.size] = dist[np.ix_(bl, il)].T
+            B[rows, :bl.size] = bg
+        home.update((x, (si, p)) for p, x in enumerate(sub.interior))
+        home_rows.append(rows)
+        within.append(dist[np.ix_(il, il)])
+    # one +inf pad row for the pad slots of B
+    DH = np.full((nb + 1, nb), INF)
+    if nb:
+        DH[:nb] = csg.dijkstra(_csr(nb, hu, hv, hw))
 
-    d = np.full(len(bverts) + 1, INF)
+    d = np.full(nb + 1, INF)
     w0 = np.full(len(interior), INF)
-    taken = np.zeros(len(bverts), dtype=bool)
+    taken = np.zeros(nb, dtype=bool)
     order: list[int] = []
     radii: list[float] = []
     for rnd in range(n):
@@ -445,18 +423,15 @@ def exact_greedy_treewidth(g: Graph, td: TreeDecomposition) -> GreedyPermutation
                 best_val, best_v = float(db[j]), bverts[j]
         order.append(best_v)
         radii.append(INF if rnd == 0 else best_val)
-        si = home[best_v]
-        if si >= 0:
-            within = _sp_dict(sub_adj[si], best_v)
+        if best_v in home:
+            si, p = home[best_v]
             rows = home_rows[si]
-            w0[rows] = np.minimum(w0[rows], [within.get(x, INF) for x in subs[si].interior])
-            w0[row_of[best_v]] = -1.0
-            reach = _sp_dict(h_adj, best_v, extra=sub_adj[si])
+            w0[rows] = np.minimum(w0[rows], within[si][p])
+            r = rows[p]
+            w0[r] = -1.0
+            reach = (F[r, :, None] + DH[B[r]]).min(axis=0)
         else:
             taken[bidx[best_v]] = True
-            reach = _sp_dict(h_adj, best_v)
-        for b, dist in reach.items():
-            i = bidx.get(b)
-            if i is not None and dist < d[i]:
-                d[i] = dist
+            reach = DH[bidx[best_v]]
+        np.minimum(d[:-1], reach, out=d[:-1])
     return GreedyPermutation(order=order, radii=radii, eps=0.0)

@@ -6,6 +6,7 @@ import types
 
 import pytest
 
+import farfirst.greedy
 import farfirst.oracles
 from farfirst.cli import main
 
@@ -260,7 +261,11 @@ def test_net_determinism_across_runs(files, capsys):
     assert outs[0] == outs[1]
 
 
-def test_threads_flag_warns_and_runs(files, capsys):
-    assert main(["greedy", "--graph", files["path4.edg"], "--exact",
-                 "--threads", "4"]) == 0
-    assert "sequentially" in capsys.readouterr().err
+def test_internal_invariant_failure_is_exit_3(files, capsys, monkeypatch):
+    def broken(g, first):
+        raise AssertionError("vertex 1 left unselected")
+
+    monkeypatch.setattr(farfirst.greedy, "exact_greedy", broken)
+    assert main(["greedy", "--graph", files["path4.edg"], "--exact"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: vertex 1 left unselected\n"

@@ -92,7 +92,7 @@ def test_parse_gr_errors(text, fragment):
 
 
 def test_parse_missing_file():
-    with pytest.raises(ValueError, match="cannot read"):
+    with pytest.raises(ValueError, match="cannot read graph file"):
         parse_graph("/nonexistent/path/graph.edges")
 
 
@@ -100,18 +100,13 @@ def test_parse_missing_file():
 
 
 def test_dijkstra_path_single_source():
-    f = dijkstra(path_graph(3), [(0, 0.0)])
+    f = dijkstra(path_graph(3), [0])
     np.testing.assert_array_equal(f.delta, [0.0, 1.0, 2.0])
 
 
 def test_dijkstra_two_sources():
-    f = dijkstra(path_graph(3), [(0, 0.0), (2, 0.0)])
+    f = dijkstra(path_graph(3), [0, 2])
     np.testing.assert_array_equal(f.delta, [0.0, 1.0, 0.0])
-
-
-def test_dijkstra_offset():
-    f = dijkstra(complete_graph(3), [(1, 0.5)])
-    np.testing.assert_array_equal(f.delta, [1.5, 0.5, 1.5])
 
 
 def test_dijkstra_empty_sources_rejected():
@@ -127,13 +122,27 @@ def test_dijkstra_matches_bellman_ford_bit_exact():
         m = int(rng.integers(n - 1, 3 * n))
         g = random_connected_graph(n, m, rng)
         s = int(rng.integers(n))
-        np.testing.assert_array_equal(dijkstra(g, [(s, 0.0)]).delta, bellman_ford(g, s))
+        np.testing.assert_array_equal(dijkstra(g, [s]).delta, bellman_ford(g, s))
 
 
 def test_dijkstra_truncated_never_exceeds_cutoff():
     g = path_graph(6)
-    dist = dijkstra_truncated(g, [(0, 0.0)], cutoff=2.5)
+    dist = dijkstra_truncated(g, [0], cutoff=2.5)
     assert dist == {0: 0.0, 1: 1.0, 2: 2.0}
+
+
+def test_dijkstra_truncated_keeps_vertex_at_cutoff():
+    dist = dijkstra_truncated(path_graph(6), [0, 5], cutoff=2.0)
+    assert dist == {0: 0.0, 1: 1.0, 2: 2.0, 3: 2.0, 4: 1.0, 5: 0.0}
+
+
+def test_zero_weight_edges_connect():
+    """Explicit zeros in the CSR matrix are edges: vertex 2 hangs on 0 by
+    zero-weight edges only."""
+    g = make_graph(4, [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 3.0)])
+    assert is_connected(g)
+    assert approx_diameter(g) == 6.0
+    assert not is_connected(make_graph(3, [(0, 1, 0.0)]))
 
 
 # --- pruned relaxation ---
@@ -172,7 +181,7 @@ def test_pruned_relax_equals_min_of_field_and_fresh_run():
         field = DistanceField.fresh(g.n)
         for s in rng.permutation(g.n)[:8]:
             before = field.delta.copy()
-            fresh = dijkstra(g, [(int(s), 0.0)]).delta
+            fresh = dijkstra(g, [int(s)]).delta
             pruned_dijkstra_relax(g, int(s), field)
             np.testing.assert_array_equal(field.delta, np.minimum(before, fresh))
 

@@ -47,6 +47,11 @@ def test_parse_points_errors(text, fragment):
         parse_points(text)
 
 
+def test_parse_points_missing_file(tmp_path):
+    with pytest.raises(ValueError, match="cannot read point file"):
+        parse_points(tmp_path / "pts.xy")
+
+
 # --- Johnson-Lindenstrauss projection ---
 
 

@@ -60,6 +60,11 @@ def test_parse_td_errors(text, fragment):
         parse_tree_decomposition(text, g)
 
 
+def test_parse_td_missing_file(tmp_path):
+    with pytest.raises(ValueError, match="cannot read decomposition"):
+        parse_tree_decomposition(str(tmp_path / "g.td"), path_graph(3))
+
+
 def test_parse_disconnected_vertex_subtree():
     # vertex 1 appears in bags 0 and 2, which are not adjacent in the tree
     g = path_graph(4)
@@ -226,6 +231,16 @@ def test_tw_greedy_series_parallel_and_ktree_lockstep():
         ref = exact_greedy(g, 0)
         assert mine.order == ref.order
         assert mine.radii == pytest.approx(ref.radii)
+
+
+def test_tw_greedy_subgraph_without_interior():
+    """This partial 3-tree's partition has a subgraph of boundary vertices
+    only, with more of them than any subgraph that has interior vertices."""
+    g, doc = random_ktree(40, 3, np.random.default_rng(4), w_hi=3)
+    mine = exact_greedy_treewidth(g, parse_tree_decomposition(doc, g))
+    ref = exact_greedy(g, 0)
+    assert mine.order == ref.order
+    assert mine.radii == ref.radii
 
 
 def test_tw_greedy_radii_are_true_eccentricities():
