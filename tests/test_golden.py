@@ -15,6 +15,13 @@ radii of exact_greedy_treewidth.  They were recorded from the per-pair
 counting loop over heapq oracle rows and from the per-subgraph L-inf index
 search, all on integer weights.
 
+The points digests pin the Euclidean lane: approx_greedy_points (order,
+radii, levels_run, level_jumps), approx_greedy_points_bounded_spread (order,
+radii), approx_r_net_points (points, selection deltas) at two radii and the
+approx_minmax_tree edges, on three seeded point sets over three eps values.
+They were recorded from the dict-of-bytes bucket tables and the one query at
+a time min-max tree.
+
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only for a
 change meant to alter outputs, and say why.
 """
@@ -30,6 +37,9 @@ from farfirst.generators import (delaunay_graph, grid_graph, random_ktree,
 from farfirst.graphs import make_graph
 from farfirst.greedy import approx_greedy, approx_greedy_bounded_spread
 from farfirst.planar import build_hd, count_short_pairs, exact_oracle, select_kth_distance
+from farfirst.points import (PointSet, approx_greedy_points,
+                             approx_greedy_points_bounded_spread, approx_minmax_tree,
+                             approx_r_net_points)
 from farfirst.treewidth import exact_greedy_treewidth, parse_tree_decomposition
 
 EPS = (0.1, 0.5, 1.0)
@@ -177,6 +187,58 @@ def test_golden_treewidth(instance):
     assert treewidth_digest(instance) == TREEWIDTH_GOLDEN[instance]
 
 
+# --- Euclidean lane ---
+
+
+def _clusters():
+    """Eight tight clusters of six near-duplicates each in [0,1]^5."""
+    rng = np.random.default_rng(43)
+    centers = rng.uniform(0.0, 1.0, size=(8, 5))
+    return np.repeat(centers, 6, axis=0) + rng.normal(scale=1e-6, size=(48, 5))
+
+
+POINTS = {
+    "uniform20": lambda: np.random.default_rng(41).uniform(0.0, 1.0, size=(60, 20)),
+    "line": lambda: np.random.default_rng(42).uniform(0.0, 100.0, size=(40, 1)),
+    "clusters": _clusters,
+}
+POINTS_GOLDEN = {
+    "uniform20": "dee9b2e19bb99ff9c574ee0dd50cb38d09f2754a4953d1ac49a31d523e834e9b",
+    "line": "a89c77a18faa68e85a9bd39ca7ec868127d615a8dea5f0a91285dcf3c96f74fc",
+    "clusters": "243a2f1b6722f6dfafb1de2eb45b155aabb1b36d436352ef135ec93cac3448f3",
+}
+
+
+def points_digest(instance: str) -> str:
+    pts = PointSet(POINTS[instance]())
+    reach = float(np.max(np.linalg.norm(pts.coords - pts.coords[0], axis=1)))
+    runs = []
+    for k, eps in enumerate(EPS):
+        seed = 200 + k
+        perm = approx_greedy_points(pts, eps, seed)
+        bounded = approx_greedy_points_bounded_spread(pts, eps, seed)
+        nets = [approx_r_net_points(pts, frac * reach, eps, seed) for frac in (0.1, 0.4)]
+        tree = approx_minmax_tree(pts, eps, seed)
+        runs.append({
+            "greedy": {"order": [int(v) for v in perm.order],
+                       "radii": [float(r).hex() for r in perm.radii],
+                       "levels_run": int(perm.levels_run),
+                       "level_jumps": int(perm.level_jumps)},
+            "bounded": {"order": [int(v) for v in bounded.order],
+                        "radii": [float(r).hex() for r in bounded.radii]},
+            "nets": [{"points": [int(v) for v in net.points],
+                      "deltas": [float(x).hex() for x in net.selection_deltas]}
+                     for net in nets],
+            "tree": [[int(u), int(v), float(w).hex()] for u, v, w in tree.edges],
+        })
+    return _sha(runs)
+
+
+@pytest.mark.parametrize("instance", sorted(POINTS_GOLDEN))
+def test_golden_points(instance):
+    assert points_digest(instance) == POINTS_GOLDEN[instance]
+
+
 if __name__ == "__main__":
     for v in VARIANTS:
         for i in INSTANCES:
@@ -185,3 +247,5 @@ if __name__ == "__main__":
         print(f'    "{i}": "{planar_digest(i)}",')
     for i in TREEWIDTH:
         print(f'    "{i}": "{treewidth_digest(i)}",')
+    for i in POINTS:
+        print(f'    "{i}": "{points_digest(i)}",')
