@@ -15,7 +15,7 @@ from .oracles import (GreedyCheck, NetCheck, apsp_exact, bellman_ford,
 from .planar import (DistanceOracle, HierarchicalDecomposition, build_hd,
                      count_short_pairs, exact_oracle, select_kth_distance)
 from .points import (AnnIndex, HashFamily, MinMaxTree, PointSet, ann_build,
-                     ann_query, approx_greedy_points,
+                     ann_query, ann_query_many, approx_greedy_points,
                      approx_greedy_points_bounded_spread, approx_minmax_tree,
                      approx_r_net_points, gaussian_bucket_collision,
                      jl_project, parse_points, write_points)

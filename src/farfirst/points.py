@@ -30,6 +30,7 @@ __all__ = [
     "AnnIndex",
     "ann_build",
     "ann_query",
+    "ann_query_many",
     "MinMaxTree",
     "approx_minmax_tree",
     "approx_greedy_points_bounded_spread",
@@ -160,19 +161,85 @@ class HashFamily:
         return gaussian_bucket_collision(u, self.w) ** self.group
 
     def hash_points(self, coords: np.ndarray) -> np.ndarray:
-        """Bucket keys, shape (n, k, group) int64."""
+        """Bucket keys, shape (n, k, group) int64.
+
+        coords is n x d, or a stack of n single rows (n x 1 x d): a stack
+        projects each row by itself, so its keys are bit for bit those of
+        hashing that row alone (one n x d product may round differently).
+        """
         keys = np.floor((coords @ self.a + self.b) / self.w).astype(np.int64)
         return keys.reshape(coords.shape[0], self.k, self.group)
 
 
-def _bucket_tables(keys: np.ndarray, ids) -> list[dict]:
-    tables: list[dict] = []
-    for j in range(keys.shape[1]):
-        table: dict = {}
-        for row, pid in enumerate(ids):
-            table.setdefault(keys[row, j].tobytes(), []).append(pid)
-        tables.append(table)
-    return tables
+# Odd multipliers that fold a group of bucket keys into one integer; fixed, so
+# the tables are a function of the keys alone.  A group has at most 64 keys.
+_FOLD = np.random.default_rng(0x5EED).integers(0, 2**62, size=64) * 2 + 1
+_PAIR_CHUNK = 1 << 16  # (query, bucket entry) pairs gathered at once
+_KEY_BLOCK = 1 << 20   # query keys hashed at once
+
+
+def _tagged(keys: np.ndarray) -> np.ndarray:
+    """Fold each key group to one uint64 and put the table index in the top
+    bits, so that one sort orders the entries by (table, folded key)."""
+    _, k, group = keys.shape
+    folded = (keys * _FOLD[:group]).sum(axis=2).view(np.uint64)  # wraps mod 2^64
+    shift = np.uint64(max(1, (k - 1).bit_length()))
+    tables = np.arange(k, dtype=np.uint64) << (np.uint64(64) - shift)
+    return tables | (folded >> shift)
+
+
+def _heads(a: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal entries of a non-empty a."""
+    return np.concatenate(([True], a[1:] != a[:-1]))
+
+
+def _narrow(keys: np.ndarray) -> np.ndarray:
+    """keys in the narrowest integer dtype that holds every value exactly."""
+    lo, hi = int(keys.min()), int(keys.max())
+    for dtype in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return keys.astype(dtype)
+    return keys
+
+
+class _BucketTables:
+    """The k bucket tables of one hash family over n points, in one array.
+
+    Entry j*n + row stands for point row in table j.  The entries are sorted
+    by their tagged, folded key; a query finds its k buckets with one
+    searchsorted and keeps an entry only when the point's full key row in
+    that table equals the query's, so a fold collision never adds a mate.
+    """
+
+    def __init__(self, keys: np.ndarray):
+        tagged = _tagged(keys).T.ravel()
+        self.entry = np.argsort(tagged, kind="stable")
+        self.tagged = tagged[self.entry]
+        self.keys = _narrow(keys)
+
+    def mates(self, qkeys: np.ndarray):
+        """Yield (query, row) arrays of bucket mates of the m queries with
+        keys qkeys (m, k, group), in non-empty chunks of about _PAIR_CHUNK
+        pairs; the pairs of one chunk are distinct and sorted."""
+        n, k, _ = self.keys.shape
+        qt = _tagged(qkeys).ravel()  # slot q*k + j
+        lo = np.searchsorted(self.tagged, qt, "left")
+        cnt = np.searchsorted(self.tagged, qt, "right") - lo
+        ends = np.cumsum(cnt)
+        start, base = 0, 0
+        while start < qt.size:
+            stop = max(start + 1, int(np.searchsorted(ends, base + _PAIR_CHUNK, "right")))
+            c = cnt[start:stop]
+            slot = np.repeat(np.arange(start, stop), c)
+            pos = np.arange(slot.size) + np.repeat(lo[start:stop] - (ends[start:stop] - c - base), c)
+            row, table, q = self.entry[pos] % n, slot % k, slot // k
+            same = (self.keys[row, table] == qkeys[q, table]).all(axis=1)
+            code = np.sort(q[same] * n + row[same])
+            if code.size:
+                code = code[_heads(code)]
+                yield code // n, code % n
+            start, base = stop, int(ends[stop - 1])
 
 
 def _lsh_net_sweep(coords: np.ndarray, ids, r: float, c: float,
@@ -186,20 +253,16 @@ def _lsh_net_sweep(coords: np.ndarray, ids, r: float, c: float,
     """
     ids = [int(i) for i in ids]
     fam = HashFamily.build(coords.shape[1], len(ids), r, c, rng)
-    keys = fam.hash_points(coords[ids])
-    tables = _bucket_tables(keys, ids)
-    row_of = {pid: row for row, pid in enumerate(ids)}
-    marked = set()
+    sub = coords[ids]
+    tables = _BucketTables(fam.hash_points(sub))
+    marked = np.zeros(len(ids), dtype=bool)
     anchors = [int(m) for m in marker_ids]  # prior emissions, then new net points
-    if anchors:
-        sub = coords[ids]
-        for m in anchors:
-            close = np.linalg.norm(sub - coords[m], axis=1) <= c * r
-            marked.update(pid for pid, hit in zip(ids, close) if hit)
+    for m in anchors:
+        marked |= np.linalg.norm(sub - coords[m], axis=1) <= c * r
     selected: list[int] = []
     deltas: list[float] = []
-    for x in ids:
-        if x in marked:
+    for row, x in enumerate(ids):
+        if marked[row]:
             continue
         if anchors:
             delta = float(np.min(np.linalg.norm(coords[anchors] - coords[x], axis=1)))
@@ -208,13 +271,9 @@ def _lsh_net_sweep(coords: np.ndarray, ids, r: float, c: float,
         selected.append(x)
         deltas.append(delta)
         anchors.append(x)
-        row = row_of[x]
-        cand = {x}
-        for j, table in enumerate(tables):
-            cand.update(table.get(keys[row, j].tobytes(), ()))
-        cand_list = sorted(cand)
-        dist = np.linalg.norm(coords[cand_list] - coords[x], axis=1)
-        marked.update(p for p, dd in zip(cand_list, dist) if dd <= c * r)
+        for _, rows in tables.mates(tables.keys[row:row + 1]):  # x is its own mate
+            dist = np.linalg.norm(sub[rows] - coords[x], axis=1)
+            marked[rows[dist <= c * r]] = True
     return selected, deltas
 
 
@@ -238,7 +297,7 @@ class AnnIndex:
     coords: np.ndarray
     ids: list[int]
     c: float
-    rungs: list  # (delta_j, HashFamily, tables, keys) from small to large
+    rungs: list  # (delta_j, HashFamily, _BucketTables) from small to large
 
 
 def ann_build(pts, c: float, seed: int, ids=None) -> AnnIndex:
@@ -263,8 +322,7 @@ def ann_build(pts, c: float, seed: int, ids=None) -> AnnIndex:
         delta_j = d_lo
         while True:
             fam = HashFamily.build(coords.shape[1], len(ids), delta_j, c, rng)
-            keys = fam.hash_points(sub)
-            rungs.append((delta_j, fam, _bucket_tables(keys, ids)))
+            rungs.append((delta_j, fam, _BucketTables(fam.hash_points(sub))))
             if delta_j >= d_hi:
                 break
             delta_j *= gamma
@@ -272,33 +330,51 @@ def ann_build(pts, c: float, seed: int, ids=None) -> AnnIndex:
 
 
 def ann_query(index: AnnIndex, q: np.ndarray) -> int:
-    """Id of a point within c times the true nearest distance (whp).
+    """Id of a point within c times the true nearest distance (whp)."""
+    return int(ann_query_many(index, np.asarray(q, dtype=np.float64)[None, :])[0])
 
-    Walks the ladder bottom-up; a rung's answer is accepted only when its
-    verified distance is at most (2c/(1+c)) * delta_j, which caps the result
-    at c * true-NN.  Exhausting the ladder falls back to a linear scan.
+
+def ann_query_many(index: AnnIndex, qs: np.ndarray) -> np.ndarray:
+    """ann_query for each row of qs (m x d), as an array of ids.
+
+    Walks the ladder bottom-up over the queries still live; a query's answer
+    is the first minimum by (distance, id) over its bucket mates, it improves
+    on an earlier rung's only when strictly closer, and it is accepted once
+    it lies within (2c/(1+c)) * delta_j, which caps it at c * true-NN.  A
+    query that exhausts the ladder falls back to a linear scan.
     """
-    q = np.asarray(q, dtype=np.float64)
-    coords, ids = index.coords, index.ids
-    if len(ids) == 1:
-        return ids[0]
+    qs = np.asarray(qs, dtype=np.float64)
+    coords, ids = index.coords, np.asarray(index.ids)
+    m = qs.shape[0]
+    if ids.size == 1:
+        return np.full(m, ids[0])
     accept = 2.0 * index.c / (1.0 + index.c)
-    best_id, best_d = -1, float("inf")
+    best_id = np.full(m, -1, dtype=np.int64)
+    best_d = np.full(m, np.inf)
+    live = np.arange(m)
     for delta_j, fam, tables in index.rungs:
-        keys = fam.hash_points(q[None, :])[0]
-        cand = set()
-        for j, table in enumerate(tables):
-            cand.update(table.get(keys[j].tobytes(), ()))
-        if cand:
-            cand_list = sorted(cand)
-            dist = np.linalg.norm(coords[cand_list] - q, axis=1)
-            pos = int(np.argmin(dist))
-            if dist[pos] < best_d:
-                best_id, best_d = cand_list[pos], float(dist[pos])
-        if best_d <= accept * delta_j:
-            return best_id
-    sub_d = np.linalg.norm(coords[ids] - q, axis=1)
-    return ids[int(np.argmin(sub_d))]
+        if not live.size:
+            break
+        rung_id = np.full(live.size, -1, dtype=np.int64)
+        rung_d = np.full(live.size, np.inf)
+        block = max(1, _KEY_BLOCK // (fam.k * fam.group))
+        for lo in range(0, live.size, block):
+            for q, rows in tables.mates(fam.hash_points(qs[live[lo:lo + block], None, :])):
+                q += lo
+                cand = ids[rows]
+                dist = np.linalg.norm(coords[cand] - qs[live[q]], axis=1)
+                first = np.lexsort((cand, dist, q))
+                q, cand, dist = q[first], cand[first], dist[first]
+                head = _heads(q)
+                q, cand, dist = q[head], cand[head], dist[head]
+                better = (dist < rung_d[q]) | ((dist == rung_d[q]) & (cand < rung_id[q]))
+                rung_id[q[better]], rung_d[q[better]] = cand[better], dist[better]
+        won = rung_d < best_d[live]
+        best_id[live[won]], best_d[live[won]] = rung_id[won], rung_d[won]
+        live = live[best_d[live] > accept * delta_j]
+    for i in live:
+        best_id[i] = ids[int(np.argmin(np.linalg.norm(coords[ids] - qs[i], axis=1)))]
+    return best_id
 
 
 # --- minimum-maximum spanning tree ---
@@ -360,33 +436,23 @@ def approx_minmax_tree(pts: PointSet, eps: float, seed: int) -> MinMaxTree:
         comp_idx = {r: i for i, r in enumerate(roots)}
         comp = np.array([comp_idx[dsu.find(v)] for v in range(n)])
         bits = max(1, (len(roots) - 1).bit_length())
-        class_members = {}
-        for b in range(bits):
-            for val in (0, 1):
-                members = [v for v in range(n) if (comp[v] >> b) & 1 == val]
-                if members:
-                    class_members[(b, val)] = (members, ann_build(
-                        pts, 1.0 + eps, int(rng.integers(2**63)), ids=members))
         best: dict[int, tuple[float, int, int]] = {}
-        for p in range(n):
-            for b in range(bits):
-                entry = class_members.get((b, 1 - ((comp[p] >> b) & 1)))
-                if entry is None:
-                    continue
-                z = ann_query(entry[1], coords[p])
-                d = float(np.linalg.norm(coords[p] - coords[z]))
-                cand = (d, min(p, z), max(p, z))
-                t = comp[p]
-                if t not in best or cand < best[t]:
-                    best[t] = cand
-        for t in range(len(roots)):
-            if t not in best:  # all queries missed: exact rescue scan
-                members = [v for v in range(n) if comp[v] == t]
-                others = [v for v in range(n) if comp[v] != t]
-                dmat = np.linalg.norm(coords[members][:, None, :] - coords[others][None, :, :], axis=2)
-                i, j = np.unravel_index(int(np.argmin(dmat)), dmat.shape)
-                p, z = members[i], others[j]
-                best[t] = (float(dmat[i, j]), min(p, z), max(p, z))
+        for b in range(bits):
+            side = (comp >> b) & 1
+            for val in (0, 1):
+                # both classes are non-empty: components 0 and 2^b < len(roots)
+                # differ in bit b
+                index = ann_build(pts, 1.0 + eps, int(rng.integers(2**63)),
+                                  ids=np.flatnonzero(side == val))
+                queries = np.flatnonzero(side != val)
+                for p, z in zip(queries.tolist(), ann_query_many(index, coords[queries]).tolist()):
+                    d = float(np.linalg.norm(coords[p] - coords[z]))
+                    cand = (d, min(p, z), max(p, z))
+                    t = int(comp[p])
+                    if t not in best or cand < best[t]:
+                        best[t] = cand
+        if len(best) != len(roots):
+            raise AssertionError("a component found no outgoing edge")
         for d, u, v in sorted(best.values()):
             if dsu.union(u, v):
                 edges.append((u, v, d))
@@ -431,16 +497,12 @@ def approx_greedy_points_bounded_spread(pts: PointSet, eps: float, seed: int) ->
     order_out: list[int] = []
     radii: list[float] = []
     emitted = np.zeros(pts.n, dtype=bool)
+    to_sel = np.full(pts.n, np.inf)  # distance to the nearest selected point
     for r in schedule.levels:
         if emitted.all():
             break
-        if order_out:
-            to_sel = np.linalg.norm(
-                coords[:, None, :] - coords[order_out][None, :, :], axis=2).min(axis=1)
-            candidates = [v for v in range(pts.n) if not emitted[v] and to_sel[v] > r]
-        else:
-            candidates = list(range(pts.n))
-        if not candidates:
+        candidates = np.flatnonzero(~emitted & (to_sel > r))
+        if not candidates.size:
             continue
         rng_level = np.random.default_rng(rng.integers(2**63))
         selected, deltas = _lsh_net_sweep(coords, candidates, r, 1.0 + eps_run, rng_level,
@@ -451,6 +513,7 @@ def approx_greedy_points_bounded_spread(pts: PointSet, eps: float, seed: int) ->
             radii.append(min(d, radii[-1]) if radii else d)
             order_out.append(v)
             emitted[v] = True
+            to_sel = np.minimum(to_sel, np.linalg.norm(coords - coords[v], axis=1))
     if not emitted.all():
         raise AssertionError("schedule ended with unselected points")
     return GreedyPermutation(order=order_out, radii=radii, eps=eps)
@@ -510,17 +573,15 @@ def approx_greedy_points(pts: PointSet, eps: float, seed: int) -> GreedyPermutat
             if w <= alive_cap:
                 dsu.union(u, v)
         active = emitted | (longest_incident >= eps_a * r / (4.0 * n))
-        groups: dict[int, list[int]] = {}
-        for v in range(n):
-            groups.setdefault(dsu.find(v), []).append(v)
+        root_of = np.array([dsu.find(v) for v in range(n)])
+        by_root = np.argsort(root_of, kind="stable")
         ran_any = False
-        for root in sorted(groups):
-            members = groups[root]
-            if not any(active[v] and not emitted[v] for v in members):
+        for members in np.split(by_root, np.flatnonzero(np.diff(root_of[by_root])) + 1):
+            cand = members[active[members] & ~emitted[members]]
+            if not cand.size:
                 continue
             ran_any = True
-            cand = [v for v in members if active[v] and not emitted[v]]
-            markers = [v for v in members if emitted[v]]
+            markers = members[emitted[members]]
             sub_rng = np.random.default_rng(rng.integers(2**63))
             sel, _ = _lsh_net_sweep(coords, cand, r, c, sub_rng, marker_ids=markers)
             for v in sel:

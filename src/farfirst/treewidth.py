@@ -206,7 +206,10 @@ def restricted_partition(g: Graph, td: TreeDecomposition, k: int) -> RestrictedP
             nodes_with.setdefault(v, []).append(idx)
     node_edges: list[list[int]] = [[] for _ in range(nn)]
     for eid, (u, v, _) in enumerate(g.edges):
-        hosts = [idx for idx in nodes_with.get(u, ()) if v in bag_sets[idx]]
+        bags, other = nodes_with.get(u, ()), v
+        if len(nodes_with.get(v, ())) < len(bags):  # scan the endpoint in fewer bags
+            bags, other = nodes_with[v], u
+        hosts = [idx for idx in bags if other in bag_sets[idx]]
         if not hosts:
             raise ValueError(f"edge ({u}, {v}) not covered by any bag")
         best = max(hosts, key=lambda idx: (ndepth[idx], -idx))

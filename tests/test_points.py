@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from farfirst import points
 from farfirst.oracles import verify_eps_greedy, verify_net
-from farfirst.points import (HashFamily, PointSet, ann_build, ann_query,
+from farfirst.points import (HashFamily, PointSet, ann_build, ann_query, ann_query_many,
                              approx_greedy_points, approx_greedy_points_bounded_spread,
                              approx_minmax_tree, approx_r_net_points,
                              gaussian_bucket_collision, jl_project, parse_points,
@@ -181,6 +182,71 @@ def test_points_net_guards():
         approx_r_net_points(pts, 1.0, 0.0, seed=0)
 
 
+# --- bucket tables ---
+
+
+def _dict_tables(keys):
+    """Reference: one dict per table from a key row's bytes to its rows."""
+    tables = []
+    for j in range(keys.shape[1]):
+        table = {}
+        for row in range(keys.shape[0]):
+            table.setdefault(keys[row, j].tobytes(), []).append(row)
+        tables.append(table)
+    return tables
+
+
+def _reference_mates(tables, qkeys):
+    return [sorted({row for j, table in enumerate(tables)
+                    for row in table.get(qkeys[i, j].tobytes(), ())})
+            for i in range(qkeys.shape[0])]
+
+
+def _array_mates(keys, qkeys):
+    found = [set() for _ in range(qkeys.shape[0])]
+    for q, rows in points._BucketTables(keys).mates(qkeys):
+        assert np.all(np.diff(q * keys.shape[0] + rows) > 0)  # distinct, sorted
+        for i, row in zip(q.tolist(), rows.tolist()):
+            found[i].add(row)
+    return [sorted(f) for f in found]
+
+
+def _random_keys(rng, n, m, k, group, spread):
+    keys = rng.integers(-spread, spread + 1, size=(n, k, group))
+    qkeys = np.concatenate([keys[rng.integers(0, n, m // 2)],
+                            rng.integers(-spread, spread + 1, size=(m - m // 2, k, group))])
+    return keys, qkeys
+
+
+@pytest.mark.parametrize("chunk", [points._PAIR_CHUNK, 5])
+def test_bucket_tables_match_dict_reference(monkeypatch, chunk):
+    monkeypatch.setattr(points, "_PAIR_CHUNK", chunk)
+    rng = np.random.default_rng(71)
+    for n, m, k, group, spread in [(40, 12, 6, 3, 1), (25, 9, 1, 1, 2), (60, 20, 9, 4, 300),
+                                   (30, 10, 4, 2, 40000), (20, 8, 3, 2, 2**40)]:
+        keys, qkeys = _random_keys(rng, n, m, k, group, spread)
+        assert _array_mates(keys, qkeys) == _reference_mates(_dict_tables(keys), qkeys)
+
+
+def test_bucket_tables_fold_collisions_add_no_mates(monkeypatch):
+    # every key group folds to 0, so each table is one run of equal tags and
+    # only the exact key check tells bucket mates apart
+    monkeypatch.setattr(points, "_FOLD", np.zeros_like(points._FOLD))
+    rng = np.random.default_rng(72)
+    keys, qkeys = _random_keys(rng, 50, 16, 5, 3, 1)
+    expected = _reference_mates(_dict_tables(keys), qkeys)
+    assert _array_mates(keys, qkeys) == expected
+    assert sum(map(len, expected)) < 16 * 50 / 2  # the check did reject entries
+
+
+def test_bucket_tables_keep_narrow_exact_keys():
+    keys = np.array([[[-128, 127]], [[3, 4]]])
+    assert points._BucketTables(keys).keys.dtype == np.int8
+    wide = keys * 2**33
+    tables = points._BucketTables(wide)
+    assert tables.keys.dtype == np.int64 and np.array_equal(tables.keys, wide)
+
+
 # --- approximate nearest neighbor ---
 
 
@@ -212,6 +278,23 @@ def test_ann_statistical_quality():
         exact = np.linalg.norm(pts.coords - q, axis=1).min()
         good += found <= 1.5 * exact + 1e-12
     assert good >= 95
+
+
+@pytest.mark.parametrize("small_blocks", [False, True])
+def test_ann_query_many_equals_one_at_a_time(monkeypatch, small_blocks):
+    if small_blocks:
+        monkeypatch.setattr(points, "_KEY_BLOCK", 1)
+        monkeypatch.setattr(points, "_PAIR_CHUNK", 7)
+    rng = np.random.default_rng(14)
+    pts = PointSet(rng.random((80, 6)))
+    idx = ann_build(pts, c=1.5, seed=15, ids=range(0, 80, 2))
+    far = np.full(6, 50.0)  # beyond every rung's acceptance radius
+    qs = np.vstack([rng.random((25, 6)), pts.coords[:5], far])
+    top = idx.rungs[-1][0]
+    assert np.min(np.linalg.norm(pts.coords[idx.ids] - far, axis=1)) > 2 * 1.5 / 2.5 * top
+    got = ann_query_many(idx, qs)
+    assert got.tolist() == [ann_query(idx, q) for q in qs]
+    assert got[-1] == idx.ids[int(np.argmin(np.linalg.norm(pts.coords[idx.ids] - far, axis=1)))]
 
 
 def test_ann_requires_c_above_one():
