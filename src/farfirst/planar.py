@@ -175,29 +175,45 @@ class DistanceOracle:
 
 
 class _ExactOracle(DistanceOracle):
+    """Full single-source rows, kept: row _slot[u] of _rows is the row of
+    source u (_slot[u] is -1 until some block asks for it)."""
+
     eps = 0.0
 
     def __init__(self, g: Graph):
         self._g = g
-        self._rows: dict[int, np.ndarray] = {}
+        self._rows = np.empty((0, g.n))
+        self._used = 0
+        self._slot = np.full(g.n, -1, dtype=np.int64)
 
     def query(self, u: int, v: int) -> float:
         return float(self.block([u], [v])[0, 0])
 
     def block(self, us, vs) -> np.ndarray:
+        us = np.asarray(us, dtype=np.int64)
+        slot = self._slot[us]
+        if slot.size and slot.min() < 0:
+            self._add(np.unique(us[slot < 0]))
+            slot = self._slot[us]
+        return self._rows[slot[:, None], np.asarray(vs, dtype=np.int64)]
+
+    def _add(self, sources: np.ndarray) -> None:
         # looked up on the module at call time, as in greedy.exact_greedy, so
         # a tracer that wraps csgraph.dijkstra sees the call
         import scipy.sparse.csgraph as csg
 
-        us = [int(u) for u in us]
-        missing = [u for u in dict.fromkeys(us) if u not in self._rows]
-        if missing:
-            self._rows.update(zip(missing, csg.dijkstra(self._g.csr(), indices=missing)))
-        vs = np.asarray(vs, dtype=np.int64)
-        out = np.empty((len(us), len(vs)), dtype=np.float64)
-        for i, u in enumerate(us):
-            out[i] = self._rows[u][vs]
-        return out
+        new = csg.dijkstra(self._g.csr(), indices=sources)
+        used = self._used
+        if not used:
+            self._rows = new  # kept as scipy returns it, not copied
+        else:
+            if used + len(new) > len(self._rows):  # doubling keeps copies linear
+                grown = np.empty((max(2 * len(self._rows), used + len(new)), self._g.n))
+                grown[:used] = self._rows[:used]
+                self._rows = grown
+            self._rows[used:used + len(new)] = new
+        self._slot[sources] = np.arange(used, used + len(new))
+        self._used = used + len(new)
 
 
 def exact_oracle(g: Graph) -> DistanceOracle:
@@ -215,23 +231,20 @@ class _Patch:
 
     groups[(side, b)] holds the sorted within-patch distances of the
     vertices on that side assigned to boundary vertex b.  b1 and b2 are the
-    boundary vertices that own a side-1 and a side-2 group: rows and cols
-    place them in the table's oracle block.  x1 concatenates the side-1
-    groups in b1 order, and own[i] is the index into b1 of x1[i].
+    boundary vertices that own a side-1 and a side-2 group.  x1 concatenates
+    the side-1 groups in b1 order, and own[i] is the index into b1 of x1[i].
     """
 
     groups: dict[tuple[int, int], np.ndarray]
+    b1: np.ndarray
     b2: np.ndarray
     x1: np.ndarray
     own: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
 
 
 @dataclass
 class _PairTables:
-    sources: np.ndarray  # every b1 of every patch: the oracle block's rows
-    targets: np.ndarray  # every b2 of every patch: its columns
+    sources: np.ndarray  # every b1 of every patch, once
     patches: list[_Patch]
 
 
@@ -278,26 +291,24 @@ def _pair_tables(g: Graph, hd: HierarchicalDecomposition) -> _PairTables:
         if b1 and b2:
             found.append((groups, b1, b2))
     sources = np.unique(np.asarray([b for f in found for b in f[1]], dtype=np.int64))
-    targets = np.unique(np.asarray([b for f in found for b in f[2]], dtype=np.int64))
     patches = []
     for groups, b1, b2 in found:
         x1 = [groups[(1, b)] for b in b1]
         patches.append(_Patch(
-            groups=groups, b2=np.asarray(b2, dtype=np.int64), x1=np.concatenate(x1),
-            own=np.repeat(np.arange(len(b1)), [len(x) for x in x1]),
-            rows=np.searchsorted(sources, b1), cols=np.searchsorted(targets, b2)))
-    return _PairTables(sources=sources, targets=targets, patches=patches)
+            groups=groups, b1=np.asarray(b1, dtype=np.int64), b2=np.asarray(b2, dtype=np.int64),
+            x1=np.concatenate(x1), own=np.repeat(np.arange(len(b1)), [len(x) for x in x1])))
+    return _PairTables(sources=sources, patches=patches)
 
 
 def count_short_pairs(g: Graph, hd: HierarchicalDecomposition, r: float,
                       eps: float, oracle: DistanceOracle) -> int:
     """Integer alpha with |P_<=r| <= alpha <= |P_<=(3+eps) r|.
 
-    One oracle block covers every (side-1 owner, side-2 owner) pair of every
-    patch.  Per patch, cap = 3r - oracle / (1 + eps_o) over its b1 x b2
-    block, and for each side-2 owner b one searchsorted counts the side-2
-    distances of b within cap[own, b] - x1 of every side-1 vertex.  A
-    negative cap counts nothing, since distances are >= 0.
+    Per patch, cap = 3r - oracle / (1 + eps_o) over its b1 x b2 block (the
+    exact oracle first finds the rows of every patch in one search), and for
+    each side-2 owner b one searchsorted counts the side-2 distances of b
+    within cap[own, b] - x1 of every side-1 vertex.  A negative cap counts
+    nothing, since distances are >= 0.
     """
     _check_positive("r", r)
     _check_positive("eps", eps)
@@ -309,10 +320,10 @@ def count_short_pairs(g: Graph, hd: HierarchicalDecomposition, r: float,
         hd._pair_cache = _pair_tables(g, hd)
     tables = hd._pair_cache
     scale = 1.0 + oracle.eps
-    block = oracle.block(tables.sources, tables.targets)
+    oracle.block(tables.sources, ())  # no columns: only fills the row cache
     alpha = 0
     for p in tables.patches:
-        cap = 3.0 * r - block[p.rows[:, None], p.cols] / scale
+        cap = 3.0 * r - oracle.block(p.b1, p.b2) / scale
         for j, b in enumerate(p.b2.tolist()):
             alpha += int(np.searchsorted(p.groups[(2, b)], cap[p.own, j] - p.x1,
                                          side="right").sum())

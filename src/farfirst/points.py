@@ -176,6 +176,7 @@ class HashFamily:
 _FOLD = np.random.default_rng(0x5EED).integers(0, 2**62, size=64) * 2 + 1
 _PAIR_CHUNK = 1 << 16  # (query, bucket entry) pairs gathered at once
 _KEY_BLOCK = 1 << 20   # query keys hashed at once
+_NO_ID = np.iinfo(np.int64).max
 
 
 def _tagged(keys: np.ndarray) -> np.ndarray:
@@ -203,6 +204,18 @@ def _narrow(keys: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _pack(keys: np.ndarray) -> np.ndarray:
+    """Each row of the integer matrix keys as the whole uint64 words of its
+    bytes, zero-padded: equal rows of one dtype give equal words, and only
+    they.  One word per row comes back as a vector."""
+    m, width = keys.shape[0], keys.shape[1] * keys.itemsize
+    words = -(-width // 8)
+    buf = np.zeros((m, 8 * words), dtype=np.uint8)
+    buf[:, :width] = np.ascontiguousarray(keys).view(np.uint8).reshape(m, width)
+    packed = buf.view(np.uint64)
+    return packed[:, 0] if words == 1 else packed
+
+
 class _BucketTables:
     """The k bucket tables of one hash family over n points, in one array.
 
@@ -210,22 +223,32 @@ class _BucketTables:
     by their tagged, folded key; a query finds its k buckets with one
     searchsorted and keeps an entry only when the point's full key row in
     that table equals the query's, so a fold collision never adds a mate.
+    row[i] and packed[i] are the point and the key row, packed in its narrow
+    dtype into whole words, of the i-th entry in sorted order, so that check
+    is one gather and one compare per entry.
     """
 
     def __init__(self, keys: np.ndarray):
+        n, k, group = keys.shape
         tagged = _tagged(keys).T.ravel()
-        self.entry = np.argsort(tagged, kind="stable")
-        self.tagged = tagged[self.entry]
+        entry = np.argsort(tagged, kind="stable")
+        self.tagged = tagged[entry]
         self.keys = _narrow(keys)
+        self.row = entry % n
+        self.packed = _pack(self.keys.transpose(1, 0, 2).reshape(k * n, group))[entry]
 
     def mates(self, qkeys: np.ndarray):
         """Yield (query, row) arrays of bucket mates of the m queries with
         keys qkeys (m, k, group), in non-empty chunks of about _PAIR_CHUNK
         pairs; the pairs of one chunk are distinct and sorted."""
-        n, k, _ = self.keys.shape
+        n, k, group = self.keys.shape
         qt = _tagged(qkeys).ravel()  # slot q*k + j
         lo = np.searchsorted(self.tagged, qt, "left")
         cnt = np.searchsorted(self.tagged, qt, "right") - lo
+        narrow = qkeys.astype(self.keys.dtype).reshape(qt.size, group)
+        # a key row outside the tables' dtype matches no entry
+        cnt[(narrow != qkeys.reshape(qt.size, group)).any(axis=1)] = 0
+        qpacked = _pack(narrow)
         ends = np.cumsum(cnt)
         start, base = 0, 0
         while start < qt.size:
@@ -233,9 +256,10 @@ class _BucketTables:
             c = cnt[start:stop]
             slot = np.repeat(np.arange(start, stop), c)
             pos = np.arange(slot.size) + np.repeat(lo[start:stop] - (ends[start:stop] - c - base), c)
-            row, table, q = self.entry[pos] % n, slot % k, slot // k
-            same = (self.keys[row, table] == qkeys[q, table]).all(axis=1)
-            code = np.sort(q[same] * n + row[same])
+            same = self.packed[pos] == qpacked[slot]
+            if same.ndim > 1:
+                same = same.all(axis=1)
+            code = np.sort(slot[same] // k * n + self.row[pos[same]])
             if code.size:
                 code = code[_heads(code)]
                 yield code // n, code % n
@@ -243,38 +267,30 @@ class _BucketTables:
 
 
 def _lsh_net_sweep(coords: np.ndarray, ids, r: float, c: float,
-                   rng: np.random.Generator, marker_ids=()) -> tuple[list[int], list[float]]:
+                   rng: np.random.Generator, marker_ids=()) -> list[int]:
     """Marking sweep over ids (in order): unmarked points join the net; each
     new net point marks its hash-collision candidates within c*r.
 
     marker_ids pre-mark everything within c*r of them (exact distances); they
     model already-emitted points that must suppress nearby selections.
-    Returns (selected ids, distance-to-prior-selection witnesses).
+    Returns the selected ids.
     """
     ids = [int(i) for i in ids]
     fam = HashFamily.build(coords.shape[1], len(ids), r, c, rng)
     sub = coords[ids]
     tables = _BucketTables(fam.hash_points(sub))
     marked = np.zeros(len(ids), dtype=bool)
-    anchors = [int(m) for m in marker_ids]  # prior emissions, then new net points
-    for m in anchors:
-        marked |= np.linalg.norm(sub - coords[m], axis=1) <= c * r
+    for m in marker_ids:
+        marked |= np.linalg.norm(sub - coords[int(m)], axis=1) <= c * r
     selected: list[int] = []
-    deltas: list[float] = []
     for row, x in enumerate(ids):
         if marked[row]:
             continue
-        if anchors:
-            delta = float(np.min(np.linalg.norm(coords[anchors] - coords[x], axis=1)))
-        else:
-            delta = float("inf")
         selected.append(x)
-        deltas.append(delta)
-        anchors.append(x)
         for _, rows in tables.mates(tables.keys[row:row + 1]):  # x is its own mate
             dist = np.linalg.norm(sub[rows] - coords[x], axis=1)
             marked[rows[dist <= c * r]] = True
-    return selected, deltas
+    return selected
 
 
 def approx_r_net_points(pts: PointSet, r: float, eps: float, seed: int) -> Net:
@@ -285,11 +301,41 @@ def approx_r_net_points(pts: PointSet, r: float, eps: float, seed: int) -> Net:
     _check_positive("r", r)
     _check_positive("eps", eps)
     rng = np.random.default_rng(seed)
-    selected, deltas = _lsh_net_sweep(pts.coords, range(pts.n), r, 1.0 + eps, rng)
+    selected = _lsh_net_sweep(pts.coords, range(pts.n), r, 1.0 + eps, rng)
+    # each selection's distance to the ones before it
+    deltas = [float(np.min(np.linalg.norm(pts.coords[selected[:i]] - pts.coords[x], axis=1)))
+              if i else float("inf") for i, x in enumerate(selected)]
     return Net(points=selected, r=r, cover_field=None, selection_deltas=deltas)
 
 
 # --- approximate nearest neighbor ---
+
+
+class _Ladder:
+    """The rungs (delta_j, HashFamily, _BucketTables) of an ANN index, from
+    small to large radius, each built on its first read.
+
+    Rung j draws its family from the index's one rng stream right after rungs
+    0..j-1 have, so every rung read equals the one an eager build makes, in
+    whatever order or number the rungs are read.
+    """
+
+    def __init__(self, sub: np.ndarray, deltas: list[float], c: float,
+                 rng: np.random.Generator):
+        self._sub, self._deltas, self._c, self._rng = sub, deltas, c, rng
+        self._built: list = []
+
+    def __len__(self) -> int:
+        return len(self._deltas)
+
+    def __getitem__(self, j: int):
+        j = range(len(self._deltas))[j]  # negative indices; IndexError ends iteration
+        while len(self._built) <= j:
+            delta_j = self._deltas[len(self._built)]
+            fam = HashFamily.build(self._sub.shape[1], self._sub.shape[0], delta_j, self._c,
+                                   self._rng)
+            self._built.append((delta_j, fam, _BucketTables(fam.hash_points(self._sub))))
+        return self._built[j]
 
 
 @dataclass
@@ -297,21 +343,24 @@ class AnnIndex:
     coords: np.ndarray
     ids: list[int]
     c: float
-    rungs: list  # (delta_j, HashFamily, _BucketTables) from small to large
+    rungs: _Ladder
 
 
 def ann_build(pts, c: float, seed: int, ids=None) -> AnnIndex:
-    """Hash-table ladder over a geometric range of radii (ratio (1+c)/2)."""
+    """Hash-table ladder over a geometric range of radii (ratio (1+c)/2).
+
+    The radii are fixed here; each rung's tables are built when a query
+    first climbs to it (see _Ladder).
+    """
     if c <= 1:
         raise ValueError("need c > 1")
     coords = pts.coords if isinstance(pts, PointSet) else np.asarray(pts, dtype=np.float64)
     ids = list(range(coords.shape[0])) if ids is None else [int(i) for i in ids]
     if not ids:
         raise ValueError("empty index")
-    rng = np.random.default_rng(seed)
-    rungs = []
+    sub = coords[ids]
+    deltas = []
     if len(ids) >= 2:
-        sub = coords[ids]
         from scipy.spatial.distance import pdist
 
         dists = pdist(sub)
@@ -319,13 +368,10 @@ def ann_build(pts, c: float, seed: int, ids=None) -> AnnIndex:
         if d_lo <= 0.0:
             d_lo = max(d_hi * 1e-9, 1e-300)
         gamma = (1.0 + c) / 2.0
-        delta_j = d_lo
-        while True:
-            fam = HashFamily.build(coords.shape[1], len(ids), delta_j, c, rng)
-            rungs.append((delta_j, fam, _BucketTables(fam.hash_points(sub))))
-            if delta_j >= d_hi:
-                break
-            delta_j *= gamma
+        deltas.append(d_lo)
+        while deltas[-1] < d_hi:
+            deltas.append(deltas[-1] * gamma)
+    rungs = _Ladder(sub, deltas, c, np.random.default_rng(seed))
     return AnnIndex(coords=coords, ids=ids, c=c, rungs=rungs)
 
 
@@ -337,11 +383,12 @@ def ann_query(index: AnnIndex, q: np.ndarray) -> int:
 def ann_query_many(index: AnnIndex, qs: np.ndarray) -> np.ndarray:
     """ann_query for each row of qs (m x d), as an array of ids.
 
-    Walks the ladder bottom-up over the queries still live; a query's answer
-    is the first minimum by (distance, id) over its bucket mates, it improves
-    on an earlier rung's only when strictly closer, and it is accepted once
-    it lies within (2c/(1+c)) * delta_j, which caps it at c * true-NN.  A
-    query that exhausts the ladder falls back to a linear scan.
+    Walks the ladder bottom-up over the queries still live, so a rung is
+    built only once some query reaches it; a query's answer is the first
+    minimum by (distance, id) over its bucket mates, it improves on an
+    earlier rung's only when strictly closer, and it is accepted once it
+    lies within (2c/(1+c)) * delta_j, which caps it at c * true-NN.  A query
+    that exhausts the ladder falls back to a linear scan.
     """
     qs = np.asarray(qs, dtype=np.float64)
     coords, ids = index.coords, np.asarray(index.ids)
@@ -352,9 +399,10 @@ def ann_query_many(index: AnnIndex, qs: np.ndarray) -> np.ndarray:
     best_id = np.full(m, -1, dtype=np.int64)
     best_d = np.full(m, np.inf)
     live = np.arange(m)
-    for delta_j, fam, tables in index.rungs:
+    for j in range(len(index.rungs)):
         if not live.size:
             break
+        delta_j, fam, tables = index.rungs[j]
         rung_id = np.full(live.size, -1, dtype=np.int64)
         rung_d = np.full(live.size, np.inf)
         block = max(1, _KEY_BLOCK // (fam.k * fam.group))
@@ -363,10 +411,14 @@ def ann_query_many(index: AnnIndex, qs: np.ndarray) -> np.ndarray:
                 q += lo
                 cand = ids[rows]
                 dist = np.linalg.norm(coords[cand] - qs[live[q]], axis=1)
-                first = np.lexsort((cand, dist, q))
-                q, cand, dist = q[first], cand[first], dist[first]
-                head = _heads(q)
-                q, cand, dist = q[head], cand[head], dist[head]
+                # per query (the pairs come sorted by query): the least
+                # distance, then the least id at that distance
+                start = np.flatnonzero(_heads(q))
+                size = np.diff(np.append(start, q.size))
+                q, dist_min = q[start], np.minimum.reduceat(dist, start)
+                cand = np.minimum.reduceat(
+                    np.where(dist == np.repeat(dist_min, size), cand, _NO_ID), start)
+                dist = dist_min
                 better = (dist < rung_d[q]) | ((dist == rung_d[q]) & (cand < rung_id[q]))
                 rung_id[q[better]], rung_d[q[better]] = cand[better], dist[better]
         won = rung_d < best_d[live]
@@ -505,11 +557,12 @@ def approx_greedy_points_bounded_spread(pts: PointSet, eps: float, seed: int) ->
         if not candidates.size:
             continue
         rng_level = np.random.default_rng(rng.integers(2**63))
-        selected, deltas = _lsh_net_sweep(coords, candidates, r, 1.0 + eps_run, rng_level,
-                                          marker_ids=order_out)
-        # deltas are exact distances to the full prior selection, so the
+        selected = _lsh_net_sweep(coords, candidates, r, 1.0 + eps_run, rng_level,
+                                  marker_ids=order_out)
+        # to_sel[v] is v's exact distance to the full prior selection, so the
         # running minimum is a valid non-increasing radius sequence
-        for v, d in zip(selected, deltas):
+        for v in selected:
+            d = float(to_sel[v])
             radii.append(min(d, radii[-1]) if radii else d)
             order_out.append(v)
             emitted[v] = True
@@ -543,7 +596,9 @@ def approx_greedy_points(pts: PointSet, eps: float, seed: int) -> GreedyPermutat
         return GreedyPermutation(order=[0], radii=[float("inf")], eps=eps)
     from bisect import bisect_left
 
-    from .graphs import DisjointSets
+    from scipy.sparse.csgraph import connected_components
+
+    from .graphs import _csr
 
     coords = pts.coords
     e_int = min(eps, 8.0) / 8.0   # net slack and level ratio
@@ -555,6 +610,7 @@ def approx_greedy_points(pts: PointSet, eps: float, seed: int) -> GreedyPermutat
     for u, v, w in tree.edges:
         longest_incident[u] = max(longest_incident[u], w)
         longest_incident[v] = max(longest_incident[v], w)
+    tree_u, tree_v, tree_w = (np.array(col) for col in zip(*tree.edges))
     events = sorted({val for _, _, w in tree.edges
                      for val in (4.0 * n * w / eps_a, w / (1.0 + 3.0 * eps))})
     r = _point_diameter_bound(coords)
@@ -567,23 +623,21 @@ def approx_greedy_points(pts: PointSet, eps: float, seed: int) -> GreedyPermutat
     for _ in range(max_iters):
         if emitted.all():
             break
-        dsu = DisjointSets(n)
-        alive_cap = (1.0 + 3.0 * eps) * r
-        for u, v, w in tree.edges:
-            if w <= alive_cap:
-                dsu.union(u, v)
+        alive = tree_w <= (1.0 + 3.0 * eps) * r
+        # scipy numbers the components in the order of their smallest vertex
+        _, comp = connected_components(
+            _csr(n, tree_u[alive], tree_v[alive], tree_w[alive]), directed=False)
         active = emitted | (longest_incident >= eps_a * r / (4.0 * n))
-        root_of = np.array([dsu.find(v) for v in range(n)])
-        by_root = np.argsort(root_of, kind="stable")
+        by_comp = np.argsort(comp, kind="stable")
         ran_any = False
-        for members in np.split(by_root, np.flatnonzero(np.diff(root_of[by_root])) + 1):
+        for members in np.split(by_comp, np.flatnonzero(np.diff(comp[by_comp])) + 1):
             cand = members[active[members] & ~emitted[members]]
             if not cand.size:
                 continue
             ran_any = True
             markers = members[emitted[members]]
             sub_rng = np.random.default_rng(rng.integers(2**63))
-            sel, _ = _lsh_net_sweep(coords, cand, r, c, sub_rng, marker_ids=markers)
+            sel = _lsh_net_sweep(coords, cand, r, c, sub_rng, marker_ids=markers)
             for v in sel:
                 radii.append(float("inf") if not order_out else r)
                 order_out.append(v)

@@ -222,8 +222,10 @@ def _random_keys(rng, n, m, k, group, spread):
 def test_bucket_tables_match_dict_reference(monkeypatch, chunk):
     monkeypatch.setattr(points, "_PAIR_CHUNK", chunk)
     rng = np.random.default_rng(71)
+    # int16 keys in groups of 5 pack into two words
     for n, m, k, group, spread in [(40, 12, 6, 3, 1), (25, 9, 1, 1, 2), (60, 20, 9, 4, 300),
-                                   (30, 10, 4, 2, 40000), (20, 8, 3, 2, 2**40)]:
+                                   (40, 12, 5, 5, 300), (30, 10, 4, 2, 40000),
+                                   (20, 8, 3, 2, 2**40)]:
         keys, qkeys = _random_keys(rng, n, m, k, group, spread)
         assert _array_mates(keys, qkeys) == _reference_mates(_dict_tables(keys), qkeys)
 
@@ -237,6 +239,15 @@ def test_bucket_tables_fold_collisions_add_no_mates(monkeypatch):
     expected = _reference_mates(_dict_tables(keys), qkeys)
     assert _array_mates(keys, qkeys) == expected
     assert sum(map(len, expected)) < 16 * 50 / 2  # the check did reject entries
+
+
+def test_bucket_tables_query_key_outside_dtype_matches_nothing(monkeypatch):
+    # one run of equal tags per table, so only the key check can reject
+    monkeypatch.setattr(points, "_FOLD", np.zeros_like(points._FOLD))
+    keys = np.array([[[1, 2]], [[3, 4]]])
+    # 257 and 1 share their low byte, but 257 is no int8
+    qkeys = np.array([[[1, 2]], [[257, 2]], [[1, 2 - 512]]])
+    assert _array_mates(keys, qkeys) == [[0], [], []]
 
 
 def test_bucket_tables_keep_narrow_exact_keys():
@@ -295,6 +306,41 @@ def test_ann_query_many_equals_one_at_a_time(monkeypatch, small_blocks):
     got = ann_query_many(idx, qs)
     assert got.tolist() == [ann_query(idx, q) for q in qs]
     assert got[-1] == idx.ids[int(np.argmin(np.linalg.norm(pts.coords[idx.ids] - far, axis=1)))]
+
+
+def test_ann_ladder_builds_rungs_on_demand():
+    from scipy.spatial.distance import pdist
+
+    rng = np.random.default_rng(22)
+    pts = PointSet(rng.random((40, 5)))
+    idx = ann_build(pts, c=1.5, seed=23)
+    assert ann_query(idx, pts.coords[3] + 1e-9) == 3
+    assert 0 < len(idx.rungs._built) < len(idx.rungs)
+    # the eager ladder: every rung built in order from one rng stream
+    eager_rng = np.random.default_rng(23)
+    dists = pdist(pts.coords)
+    delta, eager = float(dists.min()), []
+    while True:
+        eager.append((delta, HashFamily.build(pts.d, pts.n, delta, 1.5, eager_rng)))
+        if delta >= dists.max():
+            break
+        delta *= 1.25
+    for index in (idx, ann_build(pts, c=1.5, seed=23)):
+        top = index.rungs[-1]  # built first on the fresh index
+        rungs = list(index.rungs)
+        assert rungs[-1] is top
+        assert [r[0] for r in rungs] == [e[0] for e in eager]
+        for (_, fam, _), (_, ref) in zip(rungs, eager):
+            assert np.array_equal(fam.a, ref.a) and np.array_equal(fam.b, ref.b)
+
+
+def test_ann_query_many_ties_go_to_smallest_id():
+    rng = np.random.default_rng(24)
+    coords = rng.random((12, 4))
+    coords[[2, 5, 9]] = coords[7]  # four copies of one point
+    idx = ann_build(coords, c=1.5, seed=25, ids=range(11, -1, -1))
+    qs = np.vstack([coords[7], coords[7] + 1e-6, coords[0]])
+    assert ann_query_many(idx, qs).tolist() == [2, 2, 0]
 
 
 def test_ann_requires_c_above_one():
