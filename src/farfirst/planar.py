@@ -176,44 +176,36 @@ class DistanceOracle:
 
 class _ExactOracle(DistanceOracle):
     """Full single-source rows, kept: row _slot[u] of _rows is the row of
-    source u (_slot[u] is -1 until some block asks for it)."""
+    source u (_slot[u] is -1 until some block asks for it).  One matrix, so
+    a block is one gather: select_kth_distance asks for a block per patch
+    in every count of its search."""
 
     eps = 0.0
 
     def __init__(self, g: Graph):
         self._g = g
         self._rows = np.empty((0, g.n))
-        self._used = 0
         self._slot = np.full(g.n, -1, dtype=np.int64)
 
     def query(self, u: int, v: int) -> float:
         return float(self.block([u], [v])[0, 0])
 
     def block(self, us, vs) -> np.ndarray:
-        us = np.asarray(us, dtype=np.int64)
-        slot = self._slot[us]
-        if slot.size and slot.min() < 0:
-            self._add(np.unique(us[slot < 0]))
-            slot = self._slot[us]
-        return self._rows[slot[:, None], np.asarray(vs, dtype=np.int64)]
-
-    def _add(self, sources: np.ndarray) -> None:
         # looked up on the module at call time, as in greedy.exact_greedy, so
         # a tracer that wraps csgraph.dijkstra sees the call
         import scipy.sparse.csgraph as csg
 
-        new = csg.dijkstra(self._g.csr(), indices=sources)
-        used = self._used
-        if not used:
-            self._rows = new  # kept as scipy returns it, not copied
-        else:
-            if used + len(new) > len(self._rows):  # doubling keeps copies linear
-                grown = np.empty((max(2 * len(self._rows), used + len(new)), self._g.n))
-                grown[:used] = self._rows[:used]
-                self._rows = grown
-            self._rows[used:used + len(new)] = new
-        self._slot[sources] = np.arange(used, used + len(new))
-        self._used = used + len(new)
+        us = np.asarray(us, dtype=np.int64)
+        slot = self._slot[us]
+        if -1 in slot.tolist():  # on a patch's few rows, cheaper than slot.min()
+            missing = np.unique(us[slot < 0])
+            new = csg.dijkstra(self._g.csr(), indices=missing)
+            used = len(self._rows)
+            # the first rows are kept as scipy returns them, not copied
+            self._rows = np.concatenate([self._rows, new]) if used else new
+            self._slot[missing] = np.arange(used, used + len(missing))
+            slot = self._slot[us]
+        return self._rows[slot[:, None], np.asarray(vs, dtype=np.int64)]
 
 
 def exact_oracle(g: Graph) -> DistanceOracle:

@@ -207,13 +207,12 @@ def _narrow(keys: np.ndarray) -> np.ndarray:
 def _pack(keys: np.ndarray) -> np.ndarray:
     """Each row of the integer matrix keys as the whole uint64 words of its
     bytes, zero-padded: equal rows of one dtype give equal words, and only
-    they.  One word per row comes back as a vector."""
+    they."""
     m, width = keys.shape[0], keys.shape[1] * keys.itemsize
     words = -(-width // 8)
     buf = np.zeros((m, 8 * words), dtype=np.uint8)
     buf[:, :width] = np.ascontiguousarray(keys).view(np.uint8).reshape(m, width)
-    packed = buf.view(np.uint64)
-    return packed[:, 0] if words == 1 else packed
+    return buf.view(np.uint64)
 
 
 class _BucketTables:
@@ -256,9 +255,7 @@ class _BucketTables:
             c = cnt[start:stop]
             slot = np.repeat(np.arange(start, stop), c)
             pos = np.arange(slot.size) + np.repeat(lo[start:stop] - (ends[start:stop] - c - base), c)
-            same = self.packed[pos] == qpacked[slot]
-            if same.ndim > 1:
-                same = same.all(axis=1)
+            same = (self.packed[pos] == qpacked[slot]).all(axis=1)
             code = np.sort(slot[same] // k * n + self.row[pos[same]])
             if code.size:
                 code = code[_heads(code)]

@@ -109,6 +109,9 @@ def test_exact_oracle_block_matches_apsp_and_default_block():
     us, vs = [5, 0, 5, 17], [3, 3, 39, 0, 12]
     assert np.array_equal(orc.block(us, vs), dm[np.ix_(us, vs)])
     assert orc.block([], vs).shape == (0, 5)
+    # cached and new sources mixed, one new source twice
+    us = [2, 17, 2, 30, 5]
+    assert np.array_equal(orc.block(us, vs), dm[np.ix_(us, vs)])
 
     class ByQuery(DistanceOracle):
         def query(self, u, v):
