@@ -22,6 +22,14 @@ approx_minmax_tree edges, on three seeded point sets over three eps values.
 They were recorded from the dict-of-bytes bucket tables and the one query at
 a time min-max tree.
 
+The net digests pin the graph r_net (points, selection deltas, update count
+and the cover field's bytes) at three radii over a seeded order, each on a
+fresh field and as one chain sharing a carried field, on every graph
+instance; the k-center digests pin k_center_integer's centers and radius on
+the integer-weight instances at several k.  They were recorded from the
+per-element numpy field and the separate truncated relaxation of the
+spread-free greedy.
+
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only for a
 change meant to alter outputs, and say why.
 """
@@ -34,8 +42,9 @@ import pytest
 
 from farfirst.generators import (delaunay_graph, grid_graph, random_ktree,
                                  random_series_parallel, random_tree)
-from farfirst.graphs import make_graph
-from farfirst.greedy import approx_greedy, approx_greedy_bounded_spread
+from farfirst.graphs import DistanceField, approx_diameter, make_graph
+from farfirst.greedy import (approx_greedy, approx_greedy_bounded_spread, k_center_integer,
+                             r_net)
 from farfirst.planar import build_hd, count_short_pairs, exact_oracle, select_kth_distance
 from farfirst.points import (PointSet, approx_greedy_points,
                              approx_greedy_points_bounded_spread, approx_minmax_tree,
@@ -131,6 +140,70 @@ def digest(variant: str, instance: str) -> str:
 def test_golden_outputs(key):
     variant, instance = key.split("/")
     assert digest(variant, instance) == GOLDEN[key]
+
+
+# --- graph r-nets and k-center ---
+
+NET_GOLDEN = {
+    "zero_weights": "bdd55cff0f5203929288fe2468004eb5e24ee8e55dbdc13ee3a8a73d67a997fc",
+    "parallel_edges": "5c855b74a8728dde3d34c80667762f936d984db9112f8bdd6c010ea6cb1dd492",
+    "wide_spread": "5aeaf143071c44fc2ea8ec59112eca4b7795e43cc8b99610cd316ce64d90ba58",
+    "unit_grid": "e9c4aea9f9e1cf62bc3b5ade8a9d828cece0e84104c517058a4c6ea30bdd2636",
+    "n1": "27282c5bf5356384874428be95c7606f3b0b319969e3d3f2585491a0903eedfc",
+    "n2": "3ec418dbe95af7020fe22ff4abc261bb457154211abe6a2c6337b876b8575b64",
+}
+KCENTER = ("unit_grid", "n1", "integer_weights")
+KCENTER_GOLDEN = {
+    "unit_grid": "ce2d246bf560caa5ed646b314cb5738dc6ef1b882c510f6abbbbe8be37fb5446",
+    "n1": "7478a11e4829bf3a4b4146600e4e0d3f556893846f0627073e2ae0faca8d7b9c",
+    "integer_weights": "f7deb951073ca149bba63ecc5f02995de5e54eacc3275c085859d32e1bd2e926",
+}
+
+
+def _integer_weights():
+    return _random_graph(15, 70, lambda rng, k: rng.integers(1, 9, k))
+
+
+def _net_record(net) -> dict:
+    return {"points": [int(v) for v in net.points],
+            "deltas": [float(x).hex() for x in net.selection_deltas],
+            "updates": int(net.updates),
+            "field": hashlib.sha256(np.ascontiguousarray(
+                net.cover_field.delta, dtype=np.float64).tobytes()).hexdigest()}
+
+
+def net_digest(instance: str) -> str:
+    g = INSTANCES[instance]()
+    top = max(approx_diameter(g), 1.0)
+    radii = [frac * top for frac in (0.3, 0.1, 0.02)]
+    order = np.random.default_rng(300).permutation(g.n).tolist()
+    fresh = [_net_record(r_net(g, r, order=order)) for r in radii]
+    fld, carried = DistanceField.fresh(g.n), []
+    for r in radii:
+        net = r_net(g, r, order=order, used=np.flatnonzero(fld.delta <= r).tolist(), field=fld)
+        carried.append(_net_record(net))
+    return _sha({"fresh": fresh, "carried": carried})
+
+
+def kcenter_digest(instance: str) -> str:
+    g = _integer_weights() if instance == "integer_weights" else INSTANCES[instance]()
+    runs = []
+    for k in sorted({1, 2, 5, 17, g.n}):
+        if k <= g.n:
+            centers, radius = k_center_integer(g, k, seed=400 + k)
+            runs.append({"k": k, "centers": [int(v) for v in centers],
+                         "radius": float(radius).hex()})
+    return _sha(runs)
+
+
+@pytest.mark.parametrize("instance", sorted(NET_GOLDEN))
+def test_golden_net(instance):
+    assert net_digest(instance) == NET_GOLDEN[instance]
+
+
+@pytest.mark.parametrize("instance", sorted(KCENTER_GOLDEN))
+def test_golden_k_center(instance):
+    assert kcenter_digest(instance) == KCENTER_GOLDEN[instance]
 
 
 # --- planar counting and selection ---
@@ -243,6 +316,10 @@ if __name__ == "__main__":
     for v in VARIANTS:
         for i in INSTANCES:
             print(f'    "{v}/{i}": "{digest(v, i)}",')
+    for i in INSTANCES:
+        print(f'    "{i}": "{net_digest(i)}",')
+    for i in KCENTER:
+        print(f'    "{i}": "{kcenter_digest(i)}",')
     for i in PLANAR:
         print(f'    "{i}": "{planar_digest(i)}",')
     for i in TREEWIDTH:
