@@ -3,8 +3,10 @@
 The distance field abstraction (one delta value per vertex, lowered in place
 by pruned Dijkstra runs) is the workhorse shared by the net and greedy
 permutation algorithms.  Whole-graph and multi-source searches run in
-scipy's Dijkstra over one CSR builder; the pruned relaxation stays a Python
-heap loop, because its pruning is what the net sweep's amortisation counts.
+scipy's Dijkstra over one CSR builder; the pruned relaxation is the one
+Python heap loop, shared by every net sweep and the spread-free greedy's
+truncated field, because its pruning is what the sweep's amortisation
+counts.
 """
 
 from __future__ import annotations
@@ -113,9 +115,6 @@ class DistanceField:
     @classmethod
     def fresh(cls, n: int) -> "DistanceField":
         return cls(delta=np.full(n, INF, dtype=np.float64))
-
-    def copy(self) -> "DistanceField":
-        return DistanceField(delta=self.delta.copy())
 
 
 # --- file formats ---
@@ -253,18 +252,22 @@ def dijkstra_truncated(g: Graph, sources, cutoff: float) -> dict[int, float]:
     return dict(zip(near.tolist(), dist[near].tolist()))
 
 
-def pruned_dijkstra_relax(g: Graph, source: int, field: DistanceField) -> int:
-    """Zero the source's delta and relax outward, pruning non-improving pushes.
+def pruned_dijkstra_relax(adj, sources, delta, cutoff: float = INF) -> int:
+    """Zero the sources' delta and relax outward, pruning non-improving pushes.
 
-    A vertex enters the heap only when its tentative distance beats the
-    current field value, so the final field is the pointwise minimum of the
-    prior field and the fresh single-source distances.  Returns the number of
-    successful relaxations (decrease-key equivalents).
+    `adj[u]` lists the (neighbour, weight) pairs of vertex u (a list of lists
+    or a dict), and `delta` is any indexable float sequence, lowered in place;
+    the hot paths pass a plain list, whose element reads and writes cost a
+    fraction of a numpy scalar's.  A vertex enters the heap only when its
+    tentative distance beats its delta and is at most the cutoff, so delta
+    ends as the pointwise minimum of its prior values and the sources'
+    distances truncated at the cutoff.  Returns the number of successful
+    relaxations (decrease-key equivalents).
     """
-    adj = g.adjacency()
-    delta = field.delta
-    delta[source] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, source)]
+    heap = [(0.0, s) for s in sources]
+    for s in sources:
+        delta[s] = 0.0
+    heapq.heapify(heap)
     updates = 0
     while heap:
         d, u = heapq.heappop(heap)
@@ -272,7 +275,7 @@ def pruned_dijkstra_relax(g: Graph, source: int, field: DistanceField) -> int:
             continue
         for v, w in adj[u]:
             nd = d + w
-            if nd < delta[v]:
+            if nd < delta[v] and nd <= cutoff:
                 delta[v] = nd
                 updates += 1
                 heapq.heappush(heap, (nd, v))

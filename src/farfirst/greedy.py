@@ -12,7 +12,6 @@ selection is carried across levels whose working graph is unchanged.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -114,17 +113,25 @@ def _check_positive(name: str, x: float) -> None:
 
 
 def _net_sweep(g: Graph, r: float, order, used, field: DistanceField) -> Net:
-    """Core net loop: select every order[i] with delta >= r, relax after each."""
-    delta = field.delta
+    """Core net loop: select every order[i] with delta >= r, relax after each.
+
+    Entries that already fail (delta < r, or used) are dropped in one numpy
+    step first; delta only falls during the sweep, so they would fail in the
+    loop as well.  The loop walks the field as a plain list, written back
+    into field.delta once at the end.
+    """
+    live = order[(field.delta[order] >= r) & ~used[order]]
+    adj = g.adjacency()
+    delta = field.delta.tolist()
     points: list[int] = []
     sel: list[float] = []
     updates = 0
-    for v in order:
-        v = int(v)
-        if delta[v] >= r and not used[v]:
+    for v in live.tolist():
+        if delta[v] >= r:
             points.append(v)
-            sel.append(float(delta[v]))
-            updates += pruned_dijkstra_relax(g, v, field)
+            sel.append(delta[v])
+            updates += pruned_dijkstra_relax(adj, (v,), delta)
+    field.delta[:] = delta
     return Net(points=points, r=r, cover_field=field, selection_deltas=sel, updates=updates)
 
 
@@ -138,16 +145,23 @@ def r_net(g: Graph, r: float, order=None, used=(), field: DistanceField | None =
     pairwise distances >= r, covering <= r.
     """
     _check_positive("r", r)
+    order = np.arange(g.n) if order is None else _vertex_ids(g.n, order, "order")
+    mask = np.zeros(g.n, dtype=bool)
+    mask[_vertex_ids(g.n, used, "used")] = True
     if not is_connected(g):
         raise ValueError("graph is disconnected")
-    if order is None:
-        order = range(g.n)
     if field is None:
         field = DistanceField.fresh(g.n)
-    mask = np.zeros(g.n, dtype=bool)
-    for v in used:
-        mask[int(v)] = True
     return _net_sweep(g, r, order, mask, field)
+
+
+def _vertex_ids(n: int, ids, what: str) -> np.ndarray:
+    """ids as an int64 array; a ValueError names the first one outside 0..n-1."""
+    ids = np.fromiter(ids, dtype=np.int64)
+    bad = ids[(ids < 0) | (ids >= n)]
+    if bad.size:
+        raise ValueError(f"{what} holds {int(bad[0])}, not a vertex id in 0..{n - 1}")
+    return ids
 
 
 # --- exact greedy ---
@@ -230,25 +244,6 @@ def _append_zero_distance_tail(g: Graph, fld: DistanceField, order_out, radii) -
 # --- approximate greedy, spread-free ---
 
 
-def _truncated_relax(adj, sources, dist: dict, cutoff: float) -> None:
-    """Zero the sources in dist and relax outward over a dict adjacency,
-    never past the cutoff, so dist ends as the pointwise minimum of its
-    prior values and the sources' truncated distances."""
-    heap = [(0.0, s) for s in sources]
-    for s in sources:
-        dist[s] = 0.0
-    heapq.heapify(heap)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, INF):
-            continue
-        for v, w in adj.get(u, ()):
-            nd = d + w
-            if nd <= cutoff and nd < dist.get(v, INF):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-
-
 def _active_adjacency(rep: np.ndarray, us: np.ndarray, vs: np.ndarray, ws: list[float],
                       lo: int, hi: int) -> dict[int, list[tuple[int, float]]]:
     """Edges lo..hi-1 remapped onto their representatives, self-loops dropped."""
@@ -324,17 +319,17 @@ def approx_greedy(g: Graph, eps: float, seed: int) -> GreedyPermutation:
             touch = np.zeros(n, dtype=bool)
             touch[list(adj)] = True
             # every selected vertex is still its class's min id, hence a rep
-            wd = {}
-            _truncated_relax(adj, np.flatnonzero(chosen & touch).tolist(), wd, cutoff=r)
+            wd = [INF] * n
+            pruned_dijkstra_relax(adj, np.flatnonzero(chosen & touch).tolist(), wd, cutoff=r)
         perm = rng.permutation(reps)
         reached = touch[perm]
         # a rep without active edges is reached by no relaxation
         take = ~(reached | chosen[perm])
         at = np.flatnonzero(reached)
         for j, s in zip(at.tolist(), perm[at].tolist()):
-            if wd.get(s, INF) >= r:
+            if wd[s] >= r:
                 take[j] = True
-                _truncated_relax(adj, [s], wd, cutoff=r)
+                pruned_dijkstra_relax(adj, (s,), wd, cutoff=r)
         new = perm[take]
         chosen[new] = True
         order_out.extend(new.tolist())

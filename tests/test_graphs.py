@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph as csg
 
 from farfirst.generators import random_connected_graph
-from farfirst.graphs import (DisjointSets, DistanceField, KruskalTree, approx_diameter,
+from farfirst.graphs import (INF, DisjointSets, DistanceField, KruskalTree, approx_diameter,
                              contract_graph, dijkstra, dijkstra_truncated, is_connected,
                              make_graph, parse_graph, pruned_dijkstra_relax, spread,
                              write_graph)
@@ -151,7 +152,7 @@ def test_zero_weight_edges_connect():
 def test_pruned_relax_unpruned_case():
     g = path_graph(4)
     field = DistanceField.fresh(4)
-    updates = pruned_dijkstra_relax(g, 0, field)
+    updates = pruned_dijkstra_relax(g.adjacency(), [0], field.delta)
     np.testing.assert_array_equal(field.delta, [0.0, 1.0, 2.0, 3.0])
     assert updates == 3  # source assignment itself is not a decrease-key
 
@@ -159,8 +160,8 @@ def test_pruned_relax_unpruned_case():
 def test_pruned_relax_second_source_takes_pointwise_min():
     g = path_graph(4)
     field = DistanceField.fresh(4)
-    pruned_dijkstra_relax(g, 0, field)
-    updates = pruned_dijkstra_relax(g, 3, field)
+    pruned_dijkstra_relax(g.adjacency(), [0], field.delta)
+    updates = pruned_dijkstra_relax(g.adjacency(), [3], field.delta)
     # vertex 2 improves to 1; vertex 1's tentative 2 never beats its value 1
     np.testing.assert_array_equal(field.delta, [0.0, 1.0, 1.0, 0.0])
     assert updates == 1
@@ -170,7 +171,7 @@ def test_pruned_relax_fully_pruned():
     g = path_graph(4)
     field = DistanceField(delta=np.zeros(4))
     for s in range(4):
-        assert pruned_dijkstra_relax(g, s, field) == 0
+        assert pruned_dijkstra_relax(g.adjacency(), [s], field.delta) == 0
     np.testing.assert_array_equal(field.delta, np.zeros(4))
 
 
@@ -182,7 +183,7 @@ def test_pruned_relax_equals_min_of_field_and_fresh_run():
         for s in rng.permutation(g.n)[:8]:
             before = field.delta.copy()
             fresh = dijkstra(g, [int(s)]).delta
-            pruned_dijkstra_relax(g, int(s), field)
+            pruned_dijkstra_relax(g.adjacency(), [int(s)], field.delta)
             np.testing.assert_array_equal(field.delta, np.minimum(before, fresh))
 
 
@@ -192,7 +193,7 @@ def test_pruned_relax_monotone_decreasing():
     field = DistanceField.fresh(g.n)
     prev = field.delta.copy()
     for s in rng.permutation(g.n):
-        pruned_dijkstra_relax(g, int(s), field)
+        pruned_dijkstra_relax(g.adjacency(), [int(s)], field.delta)
         assert np.all(field.delta <= prev)
         prev = field.delta.copy()
 
@@ -207,10 +208,61 @@ def test_decrease_key_counts_logarithmic_on_average():
         m = int(rng.integers(2 * n, 4 * n))
         g = random_connected_graph(n, m, rng)
         field = DistanceField.fresh(n)
-        total = sum(pruned_dijkstra_relax(g, int(v), field) for v in rng.permutation(n))
+        adj = g.adjacency()
+        total = sum(pruned_dijkstra_relax(adj, [int(v)], field.delta) for v in rng.permutation(n))
         if total / n > 4.0 * math.log(n):
             failures += 1
     assert failures == 0
+
+
+def _scipy_truncated(csr, sources, cutoff: float) -> np.ndarray:
+    dist = csg.dijkstra(csr, indices=list(sources), min_only=True, limit=cutoff)
+    return np.where(dist <= cutoff, dist, INF)
+
+
+def test_pruned_relax_cutoff_equals_scipy_limit():
+    """On a fresh list, the cutoff run equals scipy's limited search masked
+    to <= cutoff; a vertex at exactly the cutoff is kept."""
+    rng = np.random.default_rng(42)
+    for trial in range(12):
+        g = random_connected_graph(40, 100, rng, w_hi=20 if trial % 2 else 100)
+        if trial >= 8:  # real weights
+            g = make_graph(g.n, [(u, v, w * float(rng.uniform(0.1, 3.0))) for u, v, w in g.edges])
+        sources = rng.choice(g.n, size=int(rng.integers(1, 4)), replace=False).tolist()
+        full = dijkstra(g, sources).delta
+        cutoff = float(np.sort(full)[g.n // 3])  # the distance of some vertex
+        delta = [INF] * g.n
+        pruned_dijkstra_relax(g.adjacency(), sources, delta, cutoff=cutoff)
+        want = _scipy_truncated(g.csr(), sources, cutoff)
+        np.testing.assert_array_equal(delta, want)
+        assert cutoff in delta
+
+
+def test_pruned_relax_dict_adjacency_with_cutoff():
+    """The spread-free greedy's call: a dict adjacency over the vertices that
+    touch a kept edge, a list field carried across calls, and a cutoff."""
+    rng = np.random.default_rng(43)
+    for _ in range(8):
+        g = random_connected_graph(50, 120, rng)
+        kept = [(u, v, w) for u, v, w in g.edges if w <= 60]
+        adj: dict[int, list[tuple[int, float]]] = {}
+        for u, v, w in kept:
+            adj.setdefault(u, []).append((v, w))
+            adj.setdefault(v, []).append((u, w))
+        csr = make_graph(g.n, kept).csr()
+        touched = sorted(adj)
+        cutoff = 90.0
+        sources = rng.choice(touched, size=3, replace=False).tolist()
+        wd = [INF] * g.n
+        pruned_dijkstra_relax(adj, sources, wd, cutoff=cutoff)
+        np.testing.assert_array_equal(wd, _scipy_truncated(csr, sources, cutoff))
+        s = int(rng.choice(touched))
+        before = np.array(wd)
+        updates = pruned_dijkstra_relax(adj, (s,), wd, cutoff=cutoff)
+        want = np.minimum(before, _scipy_truncated(csr, [s], cutoff))
+        np.testing.assert_array_equal(wd, want)
+        lowered = np.flatnonzero(want < before)
+        assert updates >= np.count_nonzero(lowered != s)  # the source's zero is no relaxation
 
 
 # --- diameter, spread, connectivity ---

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from farfirst.generators import random_connected_graph
-from farfirst.graphs import DistanceField, approx_diameter, make_graph
+from farfirst import greedy
+from farfirst.graphs import DistanceField, approx_diameter, make_graph, pruned_dijkstra_relax
 from farfirst.greedy import (LevelSchedule, approx_greedy, approx_greedy_bounded_spread,
                              exact_greedy, k_center_integer, prefix_k_center, r_net)
 from farfirst.oracles import (apsp_exact, brute_greedy, kcenter_opt, verify_eps_greedy,
@@ -77,6 +78,63 @@ def test_r_net_guards(path4):
             r_net(path4, bad)
     with pytest.raises(ValueError, match="disconnected"):
         r_net(make_graph(3, [(0, 1, 1.0)]), 1.0)
+
+
+def test_r_net_rejects_ids_outside_the_graph():
+    g = path_graph(3)
+    for kwargs, bad in (({"order": [-1, 0, 1, 2]}, -1), ({"order": [7]}, 7),
+                        ({"used": [-3]}, -3), ({"used": [0, 3]}, 3)):
+        with pytest.raises(ValueError, match=f"holds {bad}, not a vertex id in 0..2"):
+            r_net(g, 1.0, **kwargs)
+
+
+def _unfiltered_sweep(g, r, order, used, field):
+    """The net sweep without the numpy prefilter, on the numpy field."""
+    points, sel, updates = [], [], 0
+    for v in order:
+        v = int(v)
+        if field.delta[v] >= r and not used[v]:
+            points.append(v)
+            sel.append(float(field.delta[v]))
+            updates += pruned_dijkstra_relax(g.adjacency(), [v], field.delta)
+    return points, sel, updates
+
+
+def test_net_sweep_prefilter_matches_unfiltered_walk():
+    """Carried fields and used sets, as the bounded greedy passes them: the
+    prefiltered list walk gives the same net, count and field bytes."""
+    rng = np.random.default_rng(97)
+    for _ in range(8):
+        g = random_connected_graph(60, 150, rng, w_hi=30)
+        fld, ref = DistanceField.fresh(g.n), DistanceField.fresh(g.n)
+        for r in (80.0, 40.0, 20.0, 7.0, 1.0):
+            used = fld.delta <= r
+            order = rng.permutation(g.n)
+            net = greedy._net_sweep(g, r, order, used, fld)
+            want = _unfiltered_sweep(g, r, order, used, ref)
+            assert (net.points, net.selection_deltas, net.updates) == want
+            assert fld.delta.tobytes() == ref.delta.tobytes()
+
+
+def test_every_graph_net_reaches_the_relax_kernel(monkeypatch):
+    """The benchmark's tracer swaps a wrapper into greedy.pruned_dijkstra_relax;
+    every graph net and greedy must look the kernel up there."""
+    calls = {"n": 0}
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return pruned_dijkstra_relax(*args, **kwargs)
+
+    monkeypatch.setattr(greedy, "pruned_dijkstra_relax", counting)
+    g = random_connected_graph(30, 60, np.random.default_rng(5), w_hi=9)
+    runs = {"r_net": lambda: greedy.r_net(g, 5.0),
+            "k_center_integer": lambda: greedy.k_center_integer(g, 3, seed=1),
+            "approx_greedy_bounded_spread": lambda: greedy.approx_greedy_bounded_spread(g, 0.5, 1),
+            "approx_greedy": lambda: greedy.approx_greedy(g, 0.5, 1)}
+    for name, run in runs.items():
+        calls["n"] = 0
+        run()
+        assert calls["n"] > 0, name
 
 
 def test_r_net_packing_and_covering_exact():
