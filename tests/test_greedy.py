@@ -101,14 +101,15 @@ def _unfiltered_sweep(g, r, order, used, field):
 
 
 def test_net_sweep_prefilter_matches_unfiltered_walk():
-    """Carried fields and used sets, as the bounded greedy passes them: the
-    prefiltered list walk gives the same net, count and field bytes."""
+    """Carried fields, with the used set the bounded greedy passes or with
+    none (so field values equal to r stay selectable): the prefiltered list
+    walk gives the same net, count and field bytes."""
     rng = np.random.default_rng(97)
-    for _ in range(8):
+    for trial in range(8):
         g = random_connected_graph(60, 150, rng, w_hi=30)
         fld, ref = DistanceField.fresh(g.n), DistanceField.fresh(g.n)
         for r in (80.0, 40.0, 20.0, 7.0, 1.0):
-            used = fld.delta <= r
+            used = fld.delta <= r if trial % 2 else np.zeros(g.n, dtype=bool)
             order = rng.permutation(g.n)
             net = greedy._net_sweep(g, r, order, used, fld)
             want = _unfiltered_sweep(g, r, order, used, ref)
