@@ -269,11 +269,13 @@ def approx_greedy(g: Graph, eps: float, seed: int) -> GreedyPermutation:
     The min-id representatives come from a Kruskal reconstruction tree
     built once over the contracted prefix of the first level; a falling lo
     undoes its newest merges.  The active adjacency is rebuilt only when
-    (lo, hi) changes, and the truncated field to the selection is carried
-    across the levels in between: a carried value above the new radius
-    passes the ">= r" test and loses every relaxation, just as a missing
-    one does.  Representatives that touch no active edge are chosen in one
-    numpy step; the Python loop visits only those that touch one.
+    (lo, hi) changes, and the truncated field to the selection (a list of
+    n floats, lowered by the shared relax kernel with the radius as its
+    cutoff) is carried across the levels in between: a carried value above
+    the new radius passes the ">= r" test and loses every relaxation, just
+    as an unreached (infinite) one does.  Representatives that touch no
+    active edge are chosen in one numpy step; the Python loop visits only
+    those that touch one.
     """
     _check_positive("eps", eps)
     delta = approx_diameter(g)
