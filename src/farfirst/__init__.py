@@ -18,7 +18,7 @@ from .points import (AnnIndex, HashFamily, MinMaxTree, PointSet, ann_build,
                      ann_query, ann_query_many, approx_greedy_points,
                      approx_greedy_points_bounded_spread, approx_minmax_tree,
                      approx_r_net_points, gaussian_bucket_collision,
-                     jl_project, parse_points, write_points)
+                     parse_points, write_points)
 from .treewidth import (LinfIndex, RestrictedPartition, TreeDecomposition,
                         exact_greedy_treewidth, linf_build, linf_query,
                         parse_tree_decomposition, restricted_partition)

@@ -1,10 +1,9 @@
-"""Command-line interface: greedy permutations, nets, k-center, planar
-counting/selection, and a benchmark harness over one entry point.
+"""Command-line interface: greedy permutations, nets, k-center, and planar
+counting/selection over one entry point.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors,
 3 internal invariant failure.
-All algorithmic outputs are byte-deterministic for a fixed config and seed;
-bench rows contain wall-clock times and are the documented exception.
+Every output is byte-deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 import numpy as np
 
@@ -180,34 +178,6 @@ def cmd_select(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from .greedy import approx_greedy, exact_greedy, r_net
-
-    g = _load_graph(args)
-    rows = ["n,m,algorithm,seed,millis"]
-    for name in args.algorithms.split(","):
-        t0 = time.perf_counter()
-        if name == "exact":
-            exact_greedy(g, 0)
-        elif name == "approx":
-            approx_greedy(g, args.eps, args.seed)
-        elif name == "net":
-            order = np.random.default_rng(args.seed).permutation(g.n)
-            r_net(g, args.r, order=[int(v) for v in order])
-        elif name == "tw":
-            from .treewidth import exact_greedy_treewidth, parse_tree_decomposition
-
-            if args.td is None:
-                raise ValueError("bench algorithm 'tw' needs --td")
-            exact_greedy_treewidth(g, parse_tree_decomposition(args.td, g))
-        else:
-            raise ValueError(f"unknown algorithm {name!r} (exact, approx, net, tw)")
-        millis = (time.perf_counter() - t0) * 1000.0
-        rows.append(f"{g.n},{g.m},{name},{args.seed},{millis:.3f}")
-    _emit(rows, args.output)
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="farfirst",
@@ -268,13 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true",
                    help="also print the exact k-th distance")
     p.set_defaults(func=cmd_select)
-
-    p = sub.add_parser("bench", help="wall-clock rows: n,m,algorithm,seed,millis")
-    common(p)
-    p.add_argument("-r", "--r", type=float, default=1.0)
-    p.add_argument("--td", default=None, help="decomposition file for the 'tw' algorithm")
-    p.add_argument("--algorithms", default="exact,approx")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -152,6 +152,8 @@ def r_net(g: Graph, r: float, order=None, used=(), field: DistanceField | None =
         raise ValueError("graph is disconnected")
     if field is None:
         field = DistanceField.fresh(g.n)
+    elif len(field.delta) != g.n:
+        raise ValueError(f"field has {len(field.delta)} entries, graph has {g.n} vertices")
     return _net_sweep(g, r, order, mask, field)
 
 

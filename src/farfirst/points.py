@@ -1,5 +1,5 @@
-"""High-dimensional Euclidean pipeline: random projection, locality-sensitive
-hashing, approximate r-nets, an approximate min-max spanning tree, and greedy
+"""High-dimensional Euclidean pipeline: locality-sensitive hashing,
+approximate r-nets, an approximate min-max spanning tree, and greedy
 permutations with and without a spread assumption.
 
 Hash family: p-stable Gaussian buckets h(x) = floor((a.x + b)/w) with w = 4r,
@@ -17,13 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import read_input
-from .greedy import GreedyPermutation, LevelSchedule, Net, _check_positive
+from .greedy import GreedyPermutation, Net, _check_positive
 
 __all__ = [
     "PointSet",
     "parse_points",
     "write_points",
-    "jl_project",
     "gaussian_bucket_collision",
     "HashFamily",
     "approx_r_net_points",
@@ -88,27 +87,12 @@ def write_points(pts: PointSet, path) -> None:
             fh.write(" ".join(repr(float(x)) for x in row) + "\n")
 
 
+_DUPLICATES = "duplicate points (infinite spread)"
+
+
 def _require_distinct(coords: np.ndarray) -> None:
     if np.unique(coords, axis=0).shape[0] != coords.shape[0]:
-        raise ValueError("duplicate points (infinite spread)")
-
-
-# --- dimension reduction ---
-
-
-def jl_project(pts: PointSet, eps: float, seed: int) -> PointSet:
-    """Random Gaussian projection to ceil(8 ln n / eps^2) dimensions.
-
-    Identity when the input dimension is already at or below the target.
-    """
-    _check_positive("eps", eps)
-    target = math.ceil(8.0 * math.log(pts.n) / eps**2) if pts.n > 1 else 1
-    target = max(target, 1)
-    if pts.d <= target:
-        return pts
-    rng = np.random.default_rng(seed)
-    proj = rng.normal(size=(pts.d, target)) / math.sqrt(target)
-    return PointSet(pts.coords @ proj)
+        raise ValueError(_DUPLICATES)
 
 
 # --- locality-sensitive hashing ---
@@ -264,21 +248,19 @@ class _BucketTables:
 
 
 def _lsh_net_sweep(coords: np.ndarray, ids, r: float, c: float,
-                   rng: np.random.Generator, marker_ids=()) -> list[int]:
+                   rng: np.random.Generator, marked=None) -> list[int]:
     """Marking sweep over ids (in order): unmarked points join the net; each
     new net point marks its hash-collision candidates within c*r.
 
-    marker_ids pre-mark everything within c*r of them (exact distances); they
-    model already-emitted points that must suppress nearby selections.
+    marked, a boolean mask over ids (not written to), flags the points that
+    already-emitted points cover and that must not be selected.
     Returns the selected ids.
     """
     ids = [int(i) for i in ids]
     fam = HashFamily.build(coords.shape[1], len(ids), r, c, rng)
     sub = coords[ids]
     tables = _BucketTables(fam.hash_points(sub))
-    marked = np.zeros(len(ids), dtype=bool)
-    for m in marker_ids:
-        marked |= np.linalg.norm(sub - coords[int(m)], axis=1) <= c * r
+    marked = np.zeros(len(ids), dtype=bool) if marked is None else np.array(marked, dtype=bool)
     selected: list[int] = []
     for row, x in enumerate(ids):
         if marked[row]:
@@ -516,23 +498,14 @@ def _point_diameter_bound(coords: np.ndarray) -> float:
     return 2.0 * ecc
 
 
-def _min_pairwise(coords: np.ndarray) -> float:
-    n = coords.shape[0]
-    best = float("inf")
-    step = max(1, int(2e7) // max(1, n * coords.shape[1]))
-    for lo in range(0, n, step):
-        block = np.linalg.norm(coords[lo:lo + step, None, :] - coords[None, :, :], axis=2)
-        for i in range(block.shape[0]):
-            block[i, lo + i] = np.inf
-        best = min(best, float(np.min(block)))
-    return best
-
-
 def approx_greedy_points_bounded_spread(pts: PointSet, eps: float, seed: int) -> GreedyPermutation:
     """(1+eps)-greedy permutation by per-level approximate nets.
 
     Runs the schedule at eps' = sqrt(1+eps) - 1 so the net's covering slack
-    and the level ratio compound to exactly the claimed eps.
+    and the level ratio compound to exactly the claimed eps.  The levels
+    shrink from the diameter bound until every point is emitted; a level
+    below half the least pairwise distance emits every point left, so the
+    loop needs no floor.
     """
     _check_positive("eps", eps)
     _require_distinct(pts.coords)
@@ -540,32 +513,36 @@ def approx_greedy_points_bounded_spread(pts: PointSet, eps: float, seed: int) ->
         return GreedyPermutation(order=[0], radii=[float("inf")], eps=eps)
     coords = pts.coords
     eps_run = min(math.sqrt(1.0 + eps) - 1.0, 0.9)
-    schedule = LevelSchedule.down_to(_point_diameter_bound(coords), eps_run,
-                                     _min_pairwise(coords) / 2.0)
+    _check_positive("eps", eps_run)  # 0 when 1 + eps rounds to 1
+    c = 1.0 + eps_run
     rng = np.random.default_rng(seed)
     order_out: list[int] = []
     radii: list[float] = []
     emitted = np.zeros(pts.n, dtype=bool)
     to_sel = np.full(pts.n, np.inf)  # distance to the nearest selected point
-    for r in schedule.levels:
-        if emitted.all():
-            break
+    r = _point_diameter_bound(coords)
+    if math.isinf(r):
+        raise ValueError("point distances overflow float64")
+    while not emitted.all():
+        # distinct points at computed distance 0 would never be emitted
+        if r == 0.0 or not to_sel[~emitted].all():
+            raise ValueError(_DUPLICATES)
         candidates = np.flatnonzero(~emitted & (to_sel > r))
-        if not candidates.size:
-            continue
-        rng_level = np.random.default_rng(rng.integers(2**63))
-        selected = _lsh_net_sweep(coords, candidates, r, 1.0 + eps_run, rng_level,
-                                  marker_ids=order_out)
-        # to_sel[v] is v's exact distance to the full prior selection, so the
-        # running minimum is a valid non-increasing radius sequence
-        for v in selected:
-            d = float(to_sel[v])
-            radii.append(min(d, radii[-1]) if radii else d)
-            order_out.append(v)
-            emitted[v] = True
-            to_sel = np.minimum(to_sel, np.linalg.norm(coords - coords[v], axis=1))
-    if not emitted.all():
-        raise AssertionError("schedule ended with unselected points")
+        if candidates.size:
+            rng_level = np.random.default_rng(rng.integers(2**63))
+            # to_sel holds the row norms that marking by each prior selection
+            # would compute, so this is that mask, bit for bit
+            selected = _lsh_net_sweep(coords, candidates, r, c, rng_level,
+                                      marked=to_sel[candidates] <= c * r)
+            # to_sel[v] is v's exact distance to the full prior selection, so
+            # the running minimum is a valid non-increasing radius sequence
+            for v in selected:
+                d = float(to_sel[v])
+                radii.append(min(d, radii[-1]) if radii else d)
+                order_out.append(v)
+                emitted[v] = True
+                to_sel = np.minimum(to_sel, np.linalg.norm(coords - coords[v], axis=1))
+        r /= c
     return GreedyPermutation(order=order_out, radii=radii, eps=eps)
 
 
@@ -608,6 +585,8 @@ def approx_greedy_points(pts: PointSet, eps: float, seed: int) -> GreedyPermutat
         longest_incident[u] = max(longest_incident[u], w)
         longest_incident[v] = max(longest_incident[v], w)
     tree_u, tree_v, tree_w = (np.array(col) for col in zip(*tree.edges))
+    if not tree_w.all():  # distinct points at computed distance 0
+        raise ValueError(_DUPLICATES)
     events = sorted({val for _, _, w in tree.edges
                      for val in (4.0 * n * w / eps_a, w / (1.0 + 3.0 * eps))})
     r = _point_diameter_bound(coords)
@@ -632,9 +611,12 @@ def approx_greedy_points(pts: PointSet, eps: float, seed: int) -> GreedyPermutat
             if not cand.size:
                 continue
             ran_any = True
-            markers = members[emitted[members]]
+            sub = coords[cand]
+            marked = np.zeros(cand.size, dtype=bool)
+            for m in members[emitted[members]].tolist():
+                marked |= np.linalg.norm(sub - coords[m], axis=1) <= c * r
             sub_rng = np.random.default_rng(rng.integers(2**63))
-            sel = _lsh_net_sweep(coords, cand, r, c, sub_rng, marker_ids=markers)
+            sel = _lsh_net_sweep(coords, cand, r, c, sub_rng, marked=marked)
             for v in sel:
                 radii.append(float("inf") if not order_out else r)
                 order_out.append(v)

@@ -182,7 +182,6 @@ class Subgraph:
 class RestrictedPartition:
     subgraphs: list[Subgraph]
     k: int
-    cut_counts: list[int]  # tree-edge cuts per emitted subset, diagnostics
 
 
 def restricted_partition(g: Graph, td: TreeDecomposition, k: int) -> RestrictedPartition:
@@ -233,13 +232,6 @@ def restricted_partition(g: Graph, td: TreeDecomposition, k: int) -> RestrictedP
     clusters: list[dict] = []  # open clusters, indexed
     cluster_of = [-1] * nn
     emitted_nodes: list[list[int]] = []
-    cut_counts: list[int] = []
-
-    def close(cid: int, extra_cut: int) -> None:
-        cl = clusters[cid]
-        emitted_nodes.append(cl["nodes"])
-        cut_counts.append(cl["bc"] + extra_cut)
-
     for u in postorder:
         cid = len(clusters)
         clusters.append({"nodes": [u], "edges": len(node_edges[u]), "bc": 0})
@@ -254,21 +246,19 @@ def restricted_partition(g: Graph, td: TreeDecomposition, k: int) -> RestrictedP
                 for x in child["nodes"]:
                     cluster_of[x] = cid
             else:
-                close(cluster_of[c], extra_cut=1)
+                emitted_nodes.append(child["nodes"])
                 me["bc"] += 1
-    close(cluster_of[postorder[-1]], extra_cut=0)
+    emitted_nodes.append(clusters[cluster_of[postorder[-1]]]["nodes"])
 
     edge_owner = [-1] * g.m
     kept: list[list[int]] = []
-    kept_cuts: list[int] = []
-    for nodes, cuts in zip(emitted_nodes, cut_counts):
+    for nodes in emitted_nodes:
         eids = sorted(eid for node in nodes for eid in node_edges[node])
         if not eids:
             continue
         for eid in eids:
             edge_owner[eid] = len(kept)
         kept.append(eids)
-        kept_cuts.append(cuts)
 
     incident: list[list[int]] = [[] for _ in range(g.n)]
     for eid, (u, v, _) in enumerate(g.edges):
@@ -283,7 +273,7 @@ def restricted_partition(g: Graph, td: TreeDecomposition, k: int) -> RestrictedP
         subgraphs.append(Subgraph(edge_ids=eids, vertices=verts,
                                   boundary=boundary,
                                   interior=[v for v in verts if v not in bset]))
-    return RestrictedPartition(subgraphs=subgraphs, k=k, cut_counts=kept_cuts)
+    return RestrictedPartition(subgraphs=subgraphs, k=k)
 
 
 # --- L-infinity nearest neighbor ---

@@ -162,36 +162,6 @@ def test_select_path4(files, capsys):
     assert factor == pytest.approx(3.1 * 1.1)
 
 
-# --- bench ---
-
-
-def test_bench_csv(files, capsys):
-    assert main(["bench", "--graph", files["path4.edg"], "-r", "1",
-                 "--algorithms", "exact,approx,net"]) == 0
-    rows = capsys.readouterr().out.splitlines()
-    assert rows[0] == "n,m,algorithm,seed,millis"
-    assert len(rows) == 4
-    names = []
-    for row in rows[1:]:
-        n, m, name, seed, millis = row.split(",")
-        assert (n, m) == ("4", "3")
-        names.append(name)
-        assert float(millis) >= 0.0
-    assert names == ["exact", "approx", "net"]
-
-
-def test_bench_tw_needs_td(files, capsys):
-    assert main(["bench", "--graph", files["path4.edg"],
-                 "--algorithms", "tw"]) == 2
-    assert "--td" in capsys.readouterr().err
-
-
-def test_bench_unknown_algorithm(files, capsys):
-    assert main(["bench", "--graph", files["path4.edg"],
-                 "--algorithms", "quantum"]) == 2
-    assert "unknown algorithm" in capsys.readouterr().err
-
-
 # --- plumbing ---
 
 
@@ -231,6 +201,16 @@ def test_non_finite_parameters_on_planar_and_points_are_exit_2(files, capsys, ar
     assert main(argv[:-1] + [files[argv[-1]]]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "finite and positive" in err[0]
+
+
+@pytest.mark.parametrize("flags", [[], ["--bounded-spread"]])
+@pytest.mark.parametrize("eps", ["0.5", "1e-3"])
+def test_points_at_computed_distance_zero_are_exit_2(tmp_path, capsys, eps, flags):
+    p = tmp_path / "twins.xy"
+    p.write_text("3 1\n0\n1e-200\n1\n")
+    assert main(["greedy", "--points", str(p), "--eps", eps] + flags) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: duplicate points (infinite spread)"]
 
 
 def test_nan_edge_weight_is_exit_2(tmp_path, capsys):

@@ -88,6 +88,13 @@ def test_r_net_rejects_ids_outside_the_graph():
             r_net(g, 1.0, **kwargs)
 
 
+def test_r_net_rejects_a_field_of_another_length():
+    g = path_graph(3)
+    for n in (2, 5):
+        with pytest.raises(ValueError, match=f"field has {n} entries, graph has 3 vertices"):
+            r_net(g, 1.0, field=DistanceField.fresh(n))
+
+
 def _unfiltered_sweep(g, r, order, used, field):
     """The net sweep without the numpy prefilter, on the numpy field."""
     points, sel, updates = [], [], 0
@@ -342,6 +349,18 @@ def test_approx_greedy_cross_checks_bounded_variant():
         for eps in (0.5, 1.0):
             assert verify_eps_greedy(dm, approx_greedy(g, eps, seed), eps).ok
             assert verify_eps_greedy(dm, approx_greedy_bounded_spread(g, eps, seed), eps).ok
+
+
+def test_approx_greedy_selects_at_exactly_the_level_radius():
+    """A representative at truncated distance exactly r from the selection is
+    selected (the ">= r" rule).  On this unit path at eps 1 the levels are
+    4, 3, 2.25, ...; seeds 2-5 select 3 first, and 1, exactly 3 away, joins
+    at level 3.  Selecting only beyond r would defer it to level 2.25."""
+    g = make_graph(4, [(1, 0, 1.0), (0, 2, 1.0), (2, 3, 1.0)])
+    for seed in range(2, 6):
+        perm = approx_greedy(g, 1.0, seed)
+        assert perm.order[:2] == [3, 1]
+        assert perm.radii[1] == 3.0
 
 
 def test_approx_greedy_unit_weights_never_skips():

@@ -1,5 +1,5 @@
-"""High-dimensional Euclidean pipeline: projection, hashing, nets, trees,
-and the two approximate greedy permutations."""
+"""High-dimensional Euclidean pipeline: hashing, nets, trees, and the two
+approximate greedy permutations."""
 
 import math
 
@@ -11,8 +11,7 @@ from farfirst.oracles import verify_eps_greedy, verify_net
 from farfirst.points import (HashFamily, PointSet, ann_build, ann_query, ann_query_many,
                              approx_greedy_points, approx_greedy_points_bounded_spread,
                              approx_minmax_tree, approx_r_net_points,
-                             gaussian_bucket_collision, jl_project, parse_points,
-                             write_points)
+                             gaussian_bucket_collision, parse_points, write_points)
 
 from conftest import mst_bottleneck_matrix, point_distances
 
@@ -51,45 +50,6 @@ def test_parse_points_errors(text, fragment):
 def test_parse_points_missing_file(tmp_path):
     with pytest.raises(ValueError, match="cannot read point file"):
         parse_points(tmp_path / "pts.xy")
-
-
-# --- Johnson-Lindenstrauss projection ---
-
-
-def test_jl_identity_when_small():
-    pts = PointSet(np.random.default_rng(0).random((10, 3)))
-    out = jl_project(pts, 0.5, seed=1)
-    np.testing.assert_array_equal(out.coords, pts.coords)
-
-
-def test_jl_target_dimension():
-    pts = PointSet(np.random.default_rng(0).random((100, 10**4)))
-    out = jl_project(pts, 0.5, seed=1)
-    assert out.d == 148  # ceil(8 ln 100 / 0.25)
-    assert out.n == 100
-
-
-def test_jl_identical_points_stay_identical():
-    pts = PointSet(np.tile(np.arange(600.0), (5, 1)))
-    out = jl_project(pts, 0.4, seed=2)
-    for row in out.coords[1:]:
-        np.testing.assert_array_equal(row, out.coords[0])
-
-
-def test_jl_distortion_statistical():
-    """Ratio within [1/(1+eps), 1+eps] for at least 99% of 1000 pairs."""
-    rng = np.random.default_rng(3)
-    eps = 0.5
-    pts = PointSet(rng.normal(size=(200, 2000)))
-    out = jl_project(pts, eps, seed=4)
-    ok = 0
-    for _ in range(1000):
-        i, j = rng.choice(200, size=2, replace=False)
-        orig = np.linalg.norm(pts.coords[i] - pts.coords[j])
-        proj = np.linalg.norm(out.coords[i] - out.coords[j])
-        ratio = proj / orig
-        ok += 1.0 / (1.0 + eps) <= ratio <= 1.0 + eps
-    assert ok >= 990
 
 
 # --- hashing ---
@@ -471,6 +431,49 @@ def test_points_greedy_rejects_duplicates():
         approx_greedy_points_bounded_spread(dup, 0.5, seed=0)
     with pytest.raises(ValueError, match="duplicate"):
         approx_greedy_points(dup, 0.5, seed=0)
+
+
+@pytest.mark.parametrize("eps", [0.5, 1e-3])
+def test_points_greedy_rejects_points_at_computed_distance_zero(eps):
+    """Distinct points whose difference's norm underflows to 0.0 are
+    duplicates to every distance the greedy computes (with a third point,
+    and alone, where the diameter bound itself is 0)."""
+    for coords in ([[0.0], [1e-200], [1.0]], [[0.0], [1e-200]]):
+        pts = PointSet(np.array(coords))
+        assert np.linalg.norm(pts.coords[1:2] - pts.coords[0], axis=1)[0] == 0.0
+        for greedy in (approx_greedy_points_bounded_spread, approx_greedy_points):
+            with pytest.raises(ValueError, match="duplicate points"):
+                greedy(pts, eps, seed=0)
+
+
+def test_points_bounded_greedy_rejects_overflowing_distances():
+    pts = PointSet(np.array([[0.0], [1e200]]))
+    with pytest.raises(ValueError, match="overflow"):
+        approx_greedy_points_bounded_spread(pts, 0.5, seed=0)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_bounded_greedy_mask_equals_marking_by_each_selection(scale):
+    """The bounded variant marks a level's candidates with to_sel <= c*r.
+    That is the mask the sweep built by marking around every prior
+    selection one at a time, bit for bit: to_sel is the minimum of the same
+    row norms."""
+    rng = np.random.default_rng(23)
+    coords = rng.uniform(size=(400, 20)) * scale
+    selected = rng.choice(400, size=60, replace=False)
+    to_sel = np.full(400, INF)
+    for v in selected:
+        to_sel = np.minimum(to_sel, np.linalg.norm(coords - coords[v], axis=1))
+    cand = np.setdiff1d(np.arange(400), selected)
+    sub = coords[cand]
+    c = math.sqrt(1.5)
+    # thresholds at quantiles of to_sel, so some land on a distance exactly
+    for r in np.quantile(to_sel[cand], [0.0, 0.1, 0.5, 0.9, 1.0], method="lower") / c:
+        ref = np.zeros(cand.size, dtype=bool)
+        for m in selected:
+            ref |= np.linalg.norm(sub - coords[m], axis=1) <= c * r
+        np.testing.assert_array_equal(to_sel[cand] <= c * r, ref)
+        assert 0 < ref.sum() <= cand.size
 
 
 def test_points_greedy_guards():
