@@ -136,6 +136,14 @@ def read_input(source, what: str) -> tuple[str, str]:
     return "<string>", str(source)
 
 
+def _ints(parts, name: str, lineno: int) -> list[int]:
+    """The integers spelled by parts; a bad one is an error at name:lineno."""
+    try:
+        return [int(p) for p in parts]
+    except ValueError as exc:
+        raise ValueError(f"{name}:{lineno}: {exc}") from exc
+
+
 def parse_graph(source, fmt: str | None = None) -> Graph:
     """Read a graph from a path or a text blob.
 

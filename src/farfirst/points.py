@@ -12,11 +12,11 @@ documented tradeoff for having something that runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import read_input
+from .graphs import DisjointSets, Graph, _csr, _ints, read_input
 from .greedy import GreedyPermutation, Net, _check_positive
 
 __all__ = [
@@ -66,7 +66,9 @@ def parse_points(source) -> PointSet:
     lineno, head = rows[0]
     if len(head) != 2:
         raise ValueError(f"{name}:{lineno}: expected header 'n d'")
-    n, d = int(head[0]), int(head[1])
+    n, d = _ints(head, name, lineno)
+    if n < 1 or d < 1:
+        raise ValueError(f"{name}:{lineno}: need n >= 1 and d >= 1")
     if len(rows) - 1 != n:
         raise ValueError(f"{name}: header promises {n} points, file has {len(rows) - 1}")
     coords = np.empty((n, d))
@@ -112,6 +114,10 @@ def gaussian_bucket_collision(u: float, w: float) -> float:
         1.0 - math.exp(-(t * t) / 2.0))
 
 
+# A near pair misses all k tables with probability (1 - p1)^k <= n^-_MISS_EXPONENT.
+_MISS_EXPONENT = 2.0
+
+
 @dataclass
 class HashFamily:
     """(delta, c*delta, p1, p2)-sensitive family of k concatenated-bucket hashes."""
@@ -128,21 +134,17 @@ class HashFamily:
 
     @classmethod
     def build(cls, d: int, n: int, delta: float, c: float,
-              rng: np.random.Generator, alpha: float = 2.0) -> "HashFamily":
+              rng: np.random.Generator) -> "HashFamily":
         if delta <= 0 or c <= 1:
             raise ValueError("need delta > 0 and c > 1")
         w = 4.0 * delta
         group = max(1, math.ceil(math.log2(max(n, 2))))
         p1 = gaussian_bucket_collision(delta, w) ** group
         p2 = gaussian_bucket_collision(c * delta, w) ** group
-        k = max(1, math.ceil((alpha / p1) * math.log(max(n, 2))))
+        k = max(1, math.ceil((_MISS_EXPONENT / p1) * math.log(max(n, 2))))
         a = rng.normal(size=(d, k * group))
         b = rng.uniform(0.0, w, size=k * group)
         return cls(delta=delta, c=c, w=w, group=group, k=k, a=a, b=b, p1=p1, p2=p2)
-
-    def collision_prob(self, u: float) -> float:
-        """Single-function (concatenated) collision probability at distance u."""
-        return gaussian_bucket_collision(u, self.w) ** self.group
 
     def hash_points(self, coords: np.ndarray) -> np.ndarray:
         """Bucket keys, shape (n, k, group) int64.
@@ -347,8 +349,9 @@ def ann_build(pts, c: float, seed: int, ids=None) -> AnnIndex:
         if d_lo <= 0.0:
             d_lo = max(d_hi * 1e-9, 1e-300)
         gamma = (1.0 + c) / 2.0
-        deltas.append(d_lo)
-        while deltas[-1] < d_hi:
+        # with every distance 0 no rung is built: each query scans linearly
+        deltas = [d_lo] if d_hi > 0.0 else []
+        while deltas and deltas[-1] < d_hi:
             deltas.append(deltas[-1] * gamma)
     rungs = _Ladder(sub, deltas, c, np.random.default_rng(seed))
     return AnnIndex(coords=coords, ids=ids, c=c, rungs=rungs)
@@ -411,20 +414,8 @@ def ann_query_many(index: AnnIndex, qs: np.ndarray) -> np.ndarray:
 # --- minimum-maximum spanning tree ---
 
 
-@dataclass
-class MinMaxTree:
-    n: int
-    edges: list[tuple[int, int, float]]
-    _adj: list | None = field(default=None, repr=False)
-
-    def adjacency(self):
-        if self._adj is None:
-            adj = [[] for _ in range(self.n)]
-            for u, v, w in self.edges:
-                adj[u].append((v, w))
-                adj[v].append((u, w))
-            self._adj = adj
-        return self._adj
+class MinMaxTree(Graph):
+    """A spanning tree of a point set, as a Graph over the point ids."""
 
     def bottleneck(self, u: int, v: int) -> float:
         """Maximum edge length on the unique u-v path."""
@@ -454,8 +445,6 @@ def approx_minmax_tree(pts: PointSet, eps: float, seed: int) -> MinMaxTree:
     if n < 2:
         raise ValueError("need at least 2 points")
     _require_distinct(pts.coords)
-    from .graphs import DisjointSets
-
     rng = np.random.default_rng(seed)
     dsu = DisjointSets(n)
     coords = pts.coords
@@ -494,7 +483,8 @@ def approx_minmax_tree(pts: PointSet, eps: float, seed: int) -> MinMaxTree:
 
 
 def _point_diameter_bound(coords: np.ndarray) -> float:
-    ecc = float(np.max(np.linalg.norm(coords - coords[0], axis=1)))
+    with np.errstate(over="ignore"):  # an overflow reads inf, which callers reject
+        ecc = float(np.max(np.linalg.norm(coords - coords[0], axis=1)))
     return 2.0 * ecc
 
 
@@ -559,9 +549,15 @@ def approx_greedy_points(pts: PointSet, eps: float, seed: int) -> GreedyPermutat
     skipped by jumping straight to the next activation or death threshold, so
     the running time never depends on the spread.
 
-    Emitted points stay active forever and pre-mark their surroundings with
-    exact distances, which keeps new-versus-old separation deterministic; only
-    same-level packing rests on the hash family, hence the whp guarantee.
+    Emitted points stay active forever.  Like the bounded variant, the loop
+    carries each point's exact distance to the nearest emitted point, and a
+    component's sweep starts with the points within c r of it marked, which
+    keeps new-versus-old separation deterministic; only same-level packing
+    rests on the hash family, hence the whp guarantee.  An emitted point in
+    another component marks too, though it can lie within c r only if the
+    tree stretches that pair's bottleneck past (1 + 3 eps) r, that is, only
+    on a run where the tree has failed its whp guarantee; such a run then
+    still keeps every new point more than c r from all earlier ones.
     """
     _check_positive("eps", eps)
     _require_distinct(pts.coords)
@@ -572,12 +568,13 @@ def approx_greedy_points(pts: PointSet, eps: float, seed: int) -> GreedyPermutat
 
     from scipy.sparse.csgraph import connected_components
 
-    from .graphs import _csr
-
     coords = pts.coords
     e_int = min(eps, 8.0) / 8.0   # net slack and level ratio
     eps_a = min(eps, 1.0)         # activation budget
     c = 1.0 + e_int
+    r = _point_diameter_bound(coords)
+    if math.isinf(r):
+        raise ValueError("point distances overflow float64")
     rng = np.random.default_rng(seed)
     tree = approx_minmax_tree(pts, eps, int(rng.integers(2**63)))
     longest_incident = np.zeros(n)
@@ -589,8 +586,8 @@ def approx_greedy_points(pts: PointSet, eps: float, seed: int) -> GreedyPermutat
         raise ValueError(_DUPLICATES)
     events = sorted({val for _, _, w in tree.edges
                      for val in (4.0 * n * w / eps_a, w / (1.0 + 3.0 * eps))})
-    r = _point_diameter_bound(coords)
     emitted = np.zeros(n, dtype=bool)
+    to_sel = np.full(n, np.inf)  # distance to the nearest emitted point
     order_out: list[int] = []
     radii: list[float] = []
     levels_run = 0
@@ -611,16 +608,13 @@ def approx_greedy_points(pts: PointSet, eps: float, seed: int) -> GreedyPermutat
             if not cand.size:
                 continue
             ran_any = True
-            sub = coords[cand]
-            marked = np.zeros(cand.size, dtype=bool)
-            for m in members[emitted[members]].tolist():
-                marked |= np.linalg.norm(sub - coords[m], axis=1) <= c * r
             sub_rng = np.random.default_rng(rng.integers(2**63))
-            sel = _lsh_net_sweep(coords, cand, r, c, sub_rng, marked=marked)
+            sel = _lsh_net_sweep(coords, cand, r, c, sub_rng, marked=to_sel[cand] <= c * r)
             for v in sel:
                 radii.append(float("inf") if not order_out else r)
                 order_out.append(v)
                 emitted[v] = True
+                to_sel = np.minimum(to_sel, np.linalg.norm(coords - coords[v], axis=1))
         if emitted.all():
             break
         if ran_any:

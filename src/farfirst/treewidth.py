@@ -6,8 +6,8 @@ boundary vertices each.  The distances between boundary vertices are
 computed once, as one matrix over the boundary graph whose clique edges
 carry within-subgraph shortest paths; with static within-subgraph distances
 they keep every vertex's distance to the selected set in vectorised steps,
-and the farthest interior vertex comes from one scan of a matrix of at most
-n x (2w + 2) within-subgraph distances to the boundary.
+and the farthest vertex comes from one scan of a (2w + 2) x n matrix of
+within-subgraph distances to the boundary, one column per vertex.
 
 The L-inf nearest-neighbor index (linf_build, linf_query) no longer serves
 the greedy; it stays public and tested, and perfbench/spans.py traces it
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.csgraph as csg
 
-from .graphs import INF, DisjointSets, Graph, _csr, is_connected, read_input
+from .graphs import INF, DisjointSets, Graph, _csr, _ints, is_connected, read_input
 from .greedy import GreedyPermutation
 
 __all__ = [
@@ -60,7 +60,7 @@ def parse_tree_decomposition(source, g: Graph) -> TreeDecomposition:
     lineno, head = rows[0]
     if len(head) != 2:
         raise ValueError(f"{name}:{lineno}: expected header 'b w'")
-    b, w = int(head[0]), int(head[1])
+    b, w = _ints(head, name, lineno)
     if b < 1:
         raise ValueError(f"{name}:{lineno}: need at least one bag")
     if len(rows) != 1 + b + (b - 1):
@@ -68,7 +68,7 @@ def parse_tree_decomposition(source, g: Graph) -> TreeDecomposition:
                          f"found {len(rows) - 1} lines")
     bags: list[tuple[int, ...]] = []
     for lineno, parts in rows[1:1 + b]:
-        members = [int(p) for p in parts]
+        members = _ints(parts, name, lineno)
         if not members:
             raise ValueError(f"{name}:{lineno}: empty bag")
         if len(set(members)) != len(members):
@@ -85,7 +85,7 @@ def parse_tree_decomposition(source, g: Graph) -> TreeDecomposition:
     for lineno, parts in rows[1 + b:]:
         if len(parts) != 2:
             raise ValueError(f"{name}:{lineno}: expected tree edge 'i j'")
-        i, j = int(parts[0]), int(parts[1])
+        i, j = _ints(parts, name, lineno)
         if not (0 <= i < b and 0 <= j < b) or i == j:
             raise ValueError(f"{name}:{lineno}: bad tree edge ({i}, {j})")
         if not dsu.union(i, j):
@@ -333,19 +333,21 @@ def exact_greedy_treewidth(g: Graph, td: TreeDecomposition) -> GreedyPermutation
     smallest vertex id; the all-equal first round therefore picks 0).
 
     An interior vertex x of subgraph s is at distance
-    min(w0[x], min_b F[x, b] + d[b]) from the selection, with w0 its
+    min(w0[x], min_b F[b, x] + d[b]) from the selection, with w0 its
     distance to the selections inside s, F its within-s distances to the
     boundary vertices b of s, and d the boundary vertices' distances to the
-    selection.  F is one matrix over all interior vertices with +inf in the
-    slots a small boundary leaves unused, so a round is one vectorised scan
-    of at most n x (2w + 2) entries.
+    selection.  F has one column per vertex, with +inf in the slots a small
+    boundary leaves unused; a boundary vertex's column holds 0.0 at its own
+    boundary index, so it reads exactly its own d.  A round is one
+    vectorised scan of (2w + 2) x n entries and one argmax, and a selected
+    vertex is parked at w0 = -1.
 
     Every shortest path between boundary vertices splits into
     within-subgraph segments that end at boundary vertices, so the distances
     DH of the boundary graph, whose clique edges carry within-subgraph
-    distances, are graph distances.  A selected boundary vertex b lowers d
-    by DH[b]; a selected interior x lowers it by min_b F[x, b] + DH[b] and
-    lowers w0 by its within-s distances.
+    distances, are graph distances.  A selected vertex x lowers d by
+    min_b F[b, x] + DH[b] (for a boundary vertex, exactly its row of DH);
+    an interior x also lowers w0 by its within-s distances.
     """
     n = g.n
     if n == 1:
@@ -359,14 +361,17 @@ def exact_greedy_treewidth(g: Graph, td: TreeDecomposition) -> GreedyPermutation
     bverts = sorted({b for sub in subs for b in sub.boundary})
     nb = len(bverts)
     bidx = {b: i for i, b in enumerate(bverts)}
-    interior = sorted(x for sub in subs for x in sub.interior)
-    row_of = {x: i for i, x in enumerate(interior)}
-    slots = max([len(sub.boundary) for sub in subs if sub.interior], default=0)
-    # F[row, slot] + d[B[row, slot]]; unused slots read the +inf pad d[nb]
-    F = np.full((len(interior), max(slots, 1)), INF)
+    slots = max([len(sub.boundary) for sub in subs if sub.interior] + [1])
+    # F[slot, v] + d[B[slot, v]], one column per vertex (a round reduces over
+    # the few slots at every vertex at once); unused slots read the +inf pad
+    # d[nb], and a boundary vertex's column (0.0, its own index) reads its
+    # own d
+    F = np.full((slots, n), INF)
     B = np.full(F.shape, nb, dtype=np.int64)
+    F[0, bverts] = 0.0
+    B[0, bverts] = np.arange(nb)
     home: dict[int, tuple[int, int]] = {}  # interior vertex -> (subgraph, place)
-    home_rows: list[np.ndarray] = []
+    inner: list[np.ndarray] = []  # per subgraph, its interior vertices
     within: list[np.ndarray] = []  # per subgraph, interior x interior distances
     hu: list[int] = []
     hv: list[int] = []
@@ -385,12 +390,12 @@ def exact_greedy_treewidth(g: Graph, td: TreeDecomposition) -> GreedyPermutation
         hu += bg[j[ok]].tolist()
         hv += bg[l[ok]].tolist()
         hw += through[ok].tolist()
-        rows = np.asarray([row_of[x] for x in sub.interior], dtype=np.int64)
-        if rows.size:  # F has no slots for the boundary of an all-boundary subgraph
-            F[rows, :bl.size] = dist[np.ix_(bl, il)].T
-            B[rows, :bl.size] = bg
+        xs = np.asarray(sub.interior, dtype=np.int64)
+        if xs.size:  # F has no slots for the boundary of an all-boundary subgraph
+            F[:bl.size, xs] = dist[np.ix_(bl, il)]
+            B[:bl.size, xs] = bg[:, None]
         home.update((x, (si, p)) for p, x in enumerate(sub.interior))
-        home_rows.append(rows)
+        inner.append(xs)
         within.append(dist[np.ix_(il, il)])
     # one +inf pad row for the pad slots of B
     DH = np.full((nb + 1, nb), INF)
@@ -398,33 +403,17 @@ def exact_greedy_treewidth(g: Graph, td: TreeDecomposition) -> GreedyPermutation
         DH[:nb] = csg.dijkstra(_csr(nb, hu, hv, hw))
 
     d = np.full(nb + 1, INF)
-    w0 = np.full(len(interior), INF)
-    taken = np.zeros(nb, dtype=bool)
+    w0 = np.full(n, INF)
     order: list[int] = []
     radii: list[float] = []
     for rnd in range(n):
-        # selected vertices are parked at -1, below every distance
-        best_val, best_v = -1.0, -1
-        if interior:
-            val = np.minimum(w0, (F + d[B]).min(axis=1))
-            i = int(np.argmax(val))  # rows run in vertex order: smallest-id ties
-            best_val, best_v = float(val[i]), interior[i]
-        if bverts:
-            db = np.where(taken, -1.0, d[:-1])
-            j = int(np.argmax(db))
-            if db[j] > best_val or (db[j] == best_val and bverts[j] < best_v):
-                best_val, best_v = float(db[j]), bverts[j]
-        order.append(best_v)
-        radii.append(INF if rnd == 0 else best_val)
-        if best_v in home:
-            si, p = home[best_v]
-            rows = home_rows[si]
-            w0[rows] = np.minimum(w0[rows], within[si][p])
-            r = rows[p]
-            w0[r] = -1.0
-            reach = (F[r, :, None] + DH[B[r]]).min(axis=0)
-        else:
-            taken[bidx[best_v]] = True
-            reach = DH[bidx[best_v]]
-        np.minimum(d[:-1], reach, out=d[:-1])
+        val = np.minimum(w0, (F + d[B]).min(axis=0))
+        v = int(np.argmax(val))  # columns run in vertex order: smallest-id ties
+        order.append(v)
+        radii.append(INF if rnd == 0 else float(val[v]))
+        if v in home:
+            si, p = home[v]
+            w0[inner[si]] = np.minimum(w0[inner[si]], within[si][p])
+        w0[v] = -1.0  # parked below every distance
+        np.minimum(d[:-1], (F[:, v, None] + DH[B[:, v]]).min(axis=0), out=d[:-1])
     return GreedyPermutation(order=order, radii=radii, eps=0.0)

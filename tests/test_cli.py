@@ -213,6 +213,15 @@ def test_points_at_computed_distance_zero_are_exit_2(tmp_path, capsys, eps, flag
     assert err == ["error: duplicate points (infinite spread)"]
 
 
+@pytest.mark.parametrize("flags", [[], ["--bounded-spread"]])
+def test_points_at_overflowing_distance_are_exit_2(tmp_path, capsys, flags):
+    p = tmp_path / "far.xy"
+    p.write_text("2 1\n0\n1e200\n")
+    assert main(["greedy", "--points", str(p), "--eps", "0.5"] + flags) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: point distances overflow float64"]
+
+
 def test_nan_edge_weight_is_exit_2(tmp_path, capsys):
     p = tmp_path / "nan.edg"
     p.write_text("3 2\n0 1 1\n1 2 nan\n")

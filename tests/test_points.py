@@ -2,11 +2,13 @@
 approximate greedy permutations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from farfirst import points
+from farfirst.graphs import Graph, is_connected
 from farfirst.oracles import verify_eps_greedy, verify_net
 from farfirst.points import (HashFamily, PointSet, ann_build, ann_query, ann_query_many,
                              approx_greedy_points, approx_greedy_points_bounded_spread,
@@ -41,6 +43,10 @@ def test_parse_points_text():
     ("2 2\n0 0", "promises 2"),
     ("2 2\n0 0\n1 x", ":3:"),
     ("1 2\n0 0 0", ":2:"),
+    ("x 2\n0 0", "<string>:1: .*'x'"),
+    ("1 2.5\n0 0", "<string>:1: .*'2.5'"),
+    ("0 2\n", "<string>:1: need n >= 1"),
+    ("1 0\n0", "<string>:1: need n >= 1 and d >= 1"),
 ])
 def test_parse_points_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -348,6 +354,20 @@ def test_minmax_is_spanning_tree():
         parent[ru] = rv
 
 
+def test_minmax_tree_is_a_graph():
+    """The tree is a Graph over the point ids, so graph code reads it, and
+    its adjacency lists follow the edge order."""
+    pts = PointSet(np.random.default_rng(14).random((30, 4)))
+    tree = approx_minmax_tree(pts, 0.5, seed=15)
+    assert isinstance(tree, Graph) and tree.n == 30 and tree.m == 29
+    assert is_connected(tree)
+    adj = [[] for _ in range(30)]
+    for u, v, w in tree.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    assert tree.adjacency() == adj
+
+
 def test_minmax_all_pairs_bottleneck_bound():
     rng = np.random.default_rng(16)
     pts = PointSet(rng.random((60, 8)))
@@ -437,19 +457,37 @@ def test_points_greedy_rejects_duplicates():
 def test_points_greedy_rejects_points_at_computed_distance_zero(eps):
     """Distinct points whose difference's norm underflows to 0.0 are
     duplicates to every distance the greedy computes (with a third point,
-    and alone, where the diameter bound itself is 0)."""
+    and alone, where the diameter bound itself is 0).  No step on the way
+    warns: an ANN class of such twins builds no rung."""
     for coords in ([[0.0], [1e-200], [1.0]], [[0.0], [1e-200]]):
         pts = PointSet(np.array(coords))
         assert np.linalg.norm(pts.coords[1:2] - pts.coords[0], axis=1)[0] == 0.0
         for greedy in (approx_greedy_points_bounded_spread, approx_greedy_points):
-            with pytest.raises(ValueError, match="duplicate points"):
-                greedy(pts, eps, seed=0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="duplicate points"):
+                    greedy(pts, eps, seed=0)
 
 
-def test_points_bounded_greedy_rejects_overflowing_distances():
+def test_ann_on_points_at_computed_distance_zero_scans_linearly():
+    twins = np.array([[0.0], [1e-200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        index = ann_build(twins, 1.5, seed=0)
+        assert len(index.rungs) == 0
+        got = ann_query_many(index, np.array([[1e-200], [5.0], [-3.0]]))
+    # every query is equally far from both twins: the smaller id answers
+    assert got.tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("greedy", [approx_greedy_points_bounded_spread, approx_greedy_points],
+                         ids=lambda f: f.__name__)
+def test_points_greedy_rejects_overflowing_distances(greedy):
     pts = PointSet(np.array([[0.0], [1e200]]))
-    with pytest.raises(ValueError, match="overflow"):
-        approx_greedy_points_bounded_spread(pts, 0.5, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="point distances overflow float64"):
+            greedy(pts, 0.5, seed=0)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])

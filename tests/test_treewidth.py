@@ -53,6 +53,9 @@ def test_parse_tree_natural_bags():
     ("2 1\n0 1\n1 5\n0 1", "out of range"),
     ("2 1\n0 1\n1 1\n0 1", "repeated vertex"),
     ("", "empty"),
+    ("x 1\n0 1\n1 2\n0 1", "<string>:1: .*'x'"),
+    ("2 1\n0 y\n1 2\n0 1", "<string>:2: .*'y'"),
+    ("2 1\n0 1\n1 2\n0 1.0", "<string>:4: .*'1.0'"),
 ])
 def test_parse_td_errors(text, fragment):
     g = path_graph(3)
