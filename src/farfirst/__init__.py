@@ -2,11 +2,11 @@
 counting/selection over sparse graphs, Euclidean point sets, bounded-treewidth
 graphs, and planar graphs, with a brute-force oracle suite."""
 
-from .graphs import (INF, ContractedGraph, DisjointSets, DistanceField, Graph,
-                     KruskalTree, approx_diameter, contract_graph, dijkstra,
+from .graphs import (INF, ContractedGraph, DisjointSets, Graph, KruskalTree,
+                     approx_diameter, contract_graph, dijkstra,
                      dijkstra_truncated, is_connected, make_graph, parse_graph,
                      pruned_dijkstra_relax, spread, write_graph)
-from .greedy import (GreedyPermutation, LevelSchedule, Net, approx_greedy,
+from .greedy import (GreedyPermutation, Net, approx_greedy,
                      approx_greedy_bounded_spread, exact_greedy,
                      k_center_integer, prefix_k_center, r_net)
 from .oracles import (GreedyCheck, NetCheck, apsp_exact, bellman_ford,

@@ -37,8 +37,12 @@ def _load_graph(args):
 
 
 def _point_matrix(coords: np.ndarray) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    """Pairwise distances, built one row at a time: an n x n x d difference
+    tensor would take d times the matrix's memory."""
+    dm = np.empty((coords.shape[0], coords.shape[0]))
+    for i, x in enumerate(coords):
+        dm[i] = np.linalg.norm(coords - x, axis=1)
+    return dm
 
 
 def _perm_lines(perm):

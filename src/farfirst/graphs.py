@@ -1,12 +1,10 @@
 """Weighted undirected graphs: parsing, Dijkstra variants, diameter and spread.
 
-The distance field abstraction (one delta value per vertex, lowered in place
-by pruned Dijkstra runs) is the workhorse shared by the net and greedy
-permutation algorithms.  Whole-graph and multi-source searches run in
-scipy's Dijkstra over one CSR builder; the pruned relaxation is the one
-Python heap loop, shared by every net sweep and the spread-free greedy's
-truncated field, because its pruning is what the sweep's amortisation
-counts.
+Whole-graph and multi-source searches run in scipy's Dijkstra over one CSR
+builder and return one float64 distance per vertex.  The pruned relaxation
+is the one Python heap loop, shared by every net sweep and the spread-free
+greedy's truncated distances, because its pruning is what the sweep's
+amortisation counts.
 """
 
 from __future__ import annotations
@@ -104,17 +102,6 @@ def make_graph(n: int, edges) -> Graph:
             raise ValueError(f"{kind} weight {w} on edge ({u},{v})")
         out.append((u, v, w))
     return Graph(n=n, edges=out)
-
-
-@dataclass
-class DistanceField:
-    """Per-vertex tentative distances, shared across pruned Dijkstra runs."""
-
-    delta: np.ndarray
-
-    @classmethod
-    def fresh(cls, n: int) -> "DistanceField":
-        return cls(delta=np.full(n, INF, dtype=np.float64))
 
 
 # --- file formats ---
@@ -241,13 +228,13 @@ def write_graph(g: Graph, path) -> None:
 # --- shortest paths ---
 
 
-def dijkstra(g: Graph, sources) -> DistanceField:
-    """Multi-source Dijkstra: delta(v) is the distance from v to the
-    nearest of the source vertices."""
+def dijkstra(g: Graph, sources) -> np.ndarray:
+    """Multi-source Dijkstra: entry v is the distance from v to the nearest
+    of the source vertices (float64, inf where unreachable)."""
     sources = list(sources)
     if not sources:
         raise ValueError("empty source set")
-    return DistanceField(delta=csg.dijkstra(g.csr(), indices=sources, min_only=True))
+    return csg.dijkstra(g.csr(), indices=sources, min_only=True)
 
 
 def dijkstra_truncated(g: Graph, sources, cutoff: float) -> dict[int, float]:
@@ -292,8 +279,7 @@ def pruned_dijkstra_relax(adj, sources, delta, cutoff: float = INF) -> int:
 
 def approx_diameter(g: Graph) -> float:
     """2-approximation of the diameter: twice the eccentricity of vertex 0."""
-    f = dijkstra(g, [0])
-    ecc = float(np.max(f.delta))
+    ecc = float(np.max(dijkstra(g, [0])))
     if ecc == INF:
         raise ValueError("graph is disconnected")
     return 2.0 * ecc
@@ -309,8 +295,7 @@ def spread(g: Graph) -> float:
 def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
-    f = dijkstra(g, [0])
-    return bool(np.all(np.isfinite(f.delta)))
+    return bool(np.all(np.isfinite(dijkstra(g, [0]))))
 
 
 # --- contraction ---

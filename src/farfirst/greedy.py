@@ -1,13 +1,14 @@
 """Farthest-first traversals on graphs: r-nets, exact and approximate
 greedy permutations, and 2-approximate k-center.
 
-The approximate variants run a geometric schedule of radii and compute an
-r-net per level; the spread-free variant additionally contracts very short
-edges and deletes very long ones so each edge participates in
-O(eps^-1 log(n/eps)) levels regardless of the weight range.  Its per-level
-state is updated, not rebuilt: a Kruskal reconstruction tree, built once,
-gives every level's contraction, and the truncated distance field to the
-selection is carried across levels whose working graph is unchanged.
+The approximate variants shrink a radius geometrically and compute an
+r-net per level over one float64 array of distances to the selection; the
+spread-free variant additionally contracts very short edges and deletes very
+long ones so each edge participates in O(eps^-1 log(n/eps)) levels
+regardless of the weight range.  Its per-level state is updated, not
+rebuilt: a Kruskal reconstruction tree, built once, gives every level's
+contraction, and the truncated distances to the selection are carried
+across levels whose working graph is unchanged.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from .graphs import (
     INF,
-    DistanceField,
     Graph,
     KruskalTree,
     approx_diameter,
@@ -33,7 +33,6 @@ from .graphs import contract_graph, dijkstra_truncated  # noqa: F401
 __all__ = [
     "Net",
     "GreedyPermutation",
-    "LevelSchedule",
     "r_net",
     "exact_greedy",
     "approx_greedy_bounded_spread",
@@ -45,7 +44,8 @@ __all__ = [
 
 @dataclass
 class Net:
-    """An r-net: selected points plus the distance field that witnesses covering.
+    """An r-net: selected points plus the distance field that witnesses covering
+    (one float64 per vertex; None for point nets).
 
     selection_deltas[i] is the field value of points[i] at the moment it was
     selected (infinity for a fresh field), a packing witness. updates counts
@@ -54,7 +54,7 @@ class Net:
 
     points: list[int]
     r: float
-    cover_field: DistanceField
+    cover_field: np.ndarray | None
     selection_deltas: list[float] = field(default_factory=list)
     updates: int = 0
 
@@ -74,55 +74,49 @@ class GreedyPermutation:
         return len(self.order)
 
 
-@dataclass
-class LevelSchedule:
-    """Geometric radius schedule r_i = delta / (1+eps)^(i-1), i = 1..M."""
-
-    delta: float
-    eps: float
-    levels: list[float]
-
-    @classmethod
-    def down_to(cls, delta: float, eps: float, floor: float) -> "LevelSchedule":
-        """Levels from delta shrinking by (1+eps) until strictly below floor.
-
-        The last level must be < floor, not <= floor: when floor is the
-        minimum positive distance, a final level equal to it can leave a
-        vertex at exactly that distance marked as used and never selected.
-        """
-        for name, x in (("delta", delta), ("eps", eps), ("floor", floor)):
-            _check_positive(name, x)
-        r = float(delta)
-        levels = [r]
-        while r >= floor:
-            r /= 1.0 + eps
-            levels.append(r)
-        return cls(delta=delta, eps=eps, levels=levels)
-
-    @property
-    def m(self) -> int:
-        return len(self.levels)
-
-
 def _check_positive(name: str, x: float) -> None:
     if not 0.0 < x < INF:  # also false for NaN
         raise ValueError(f"{name} must be finite and positive, got {x}")
 
 
+def _check_ratio(eps: float, ratio: float) -> None:
+    """Reject an eps whose level ratio (1 + eps, or the smaller one a caller
+    derives from eps) rounds to 1: its radii would never shrink."""
+    if not ratio > 1.0:
+        raise ValueError(f"eps {eps!r} is too small: its level ratio rounds to 1")
+
+
+def _levels(delta: float, eps: float, floor: float) -> list[float]:
+    """Radii from delta shrinking by (1+eps) until strictly below floor.
+
+    The last level must be < floor, not <= floor: when floor is the
+    minimum positive distance, a final level equal to it can leave a
+    vertex at exactly that distance marked as used and never selected.
+    """
+    for name, x in (("delta", delta), ("eps", eps), ("floor", floor)):
+        _check_positive(name, x)
+    r = float(delta)
+    levels = [r]
+    while r >= floor:
+        r /= 1.0 + eps
+        levels.append(r)
+    return levels
+
+
 # --- r-nets ---
 
 
-def _net_sweep(g: Graph, r: float, order, used, field: DistanceField) -> Net:
-    """Core net loop: select every order[i] with delta >= r, relax after each.
+def _net_sweep(g: Graph, r: float, order, used, field: np.ndarray) -> Net:
+    """Core net loop: select every order[i] with field >= r, relax after each.
 
-    Entries that already fail (delta < r, or used) are dropped in one numpy
-    step first; delta only falls during the sweep, so they would fail in the
-    loop as well.  The loop walks the field as a plain list, written back
-    into field.delta once at the end.
+    Entries that already fail (field < r, or used) are dropped in one numpy
+    step first; the field only falls during the sweep, so they would fail in
+    the loop as well.  The loop walks the field as a plain list, written
+    back into the array once at the end.
     """
-    live = order[(field.delta[order] >= r) & ~used[order]]
+    live = order[(field[order] >= r) & ~used[order]]
     adj = g.adjacency()
-    delta = field.delta.tolist()
+    delta = field.tolist()
     points: list[int] = []
     sel: list[float] = []
     updates = 0
@@ -131,18 +125,18 @@ def _net_sweep(g: Graph, r: float, order, used, field: DistanceField) -> Net:
             points.append(v)
             sel.append(delta[v])
             updates += pruned_dijkstra_relax(adj, (v,), delta)
-    field.delta[:] = delta
+    field[:] = delta
     return Net(points=points, r=r, cover_field=field, selection_deltas=sel, updates=updates)
 
 
-def r_net(g: Graph, r: float, order=None, used=(), field: DistanceField | None = None) -> Net:
+def r_net(g: Graph, r: float, order=None, used=(), field: np.ndarray | None = None) -> Net:
     """Randomized-order r-net sweep over a (possibly carried) distance field.
 
     Walks the given vertex order (natural order when omitted); whenever the
     field value of a non-used vertex is still >= r, the vertex joins the net
-    and a pruned Dijkstra run lowers the field around it.  With a fresh field
-    (the default) and an empty used set the result is an exact r-net:
-    pairwise distances >= r, covering <= r.
+    and a pruned Dijkstra run lowers the field (n float64s, in place) around
+    it.  With a fresh field (the default) and an empty used set the result
+    is an exact r-net: pairwise distances >= r, covering <= r.
     """
     _check_positive("r", r)
     order = np.arange(g.n) if order is None else _vertex_ids(g.n, order, "order")
@@ -151,9 +145,11 @@ def r_net(g: Graph, r: float, order=None, used=(), field: DistanceField | None =
     if not is_connected(g):
         raise ValueError("graph is disconnected")
     if field is None:
-        field = DistanceField.fresh(g.n)
-    elif len(field.delta) != g.n:
-        raise ValueError(f"field has {len(field.delta)} entries, graph has {g.n} vertices")
+        field = np.full(g.n, INF)
+    elif not (isinstance(field, np.ndarray) and field.dtype == np.float64 and field.ndim == 1):
+        raise ValueError("field must be a 1-D float64 array (it is lowered in place)")
+    elif len(field) != g.n:
+        raise ValueError(f"field has {len(field)} entries, graph has {g.n} vertices")
     return _net_sweep(g, r, order, mask, field)
 
 
@@ -199,25 +195,28 @@ def approx_greedy_bounded_spread(g: Graph, eps: float, seed: int) -> GreedyPermu
     """(1+eps)-greedy permutation via per-level r-nets over one shared field.
 
     Runtime scales with log of the spread: every level marks vertices within
-    r_i of the prior selections as used and then runs the net sweep in a
+    r of the prior selections as used and then runs the net sweep in a
     fresh random order.  The shared field already holds the exact distance
-    to the prior selections, so the used set is read off it.
+    to the prior selections, so the used set is read off it.  The levels
+    shrink until no vertex is left at positive distance, which a level below
+    the least positive distance ensures, so the loop needs no floor.
     """
     _check_positive("eps", eps)
+    _check_ratio(eps, 1.0 + eps)
     delta = approx_diameter(g)  # also proves connectivity
     if delta == 0.0:
         return _all_at_zero(g, eps)
-    schedule = LevelSchedule.down_to(delta, eps, g.min_weight())
     rng = np.random.default_rng(seed)
-    fld = DistanceField.fresh(g.n)
+    fld = np.full(g.n, INF)
     order_out: list[int] = []
     radii: list[float] = []
-    for r in schedule.levels:
-        used = fld.delta <= r
-        net = _net_sweep(g, r, rng.permutation(g.n), used, fld)
+    r = delta
+    while fld.any():
+        net = _net_sweep(g, r, rng.permutation(g.n), fld <= r, fld)
         for v in net.points:
             radii.append(INF if not order_out else r)
             order_out.append(v)
+        r /= 1.0 + eps
     _append_zero_distance_tail(g, fld, order_out, radii)
     return GreedyPermutation(order=order_out, radii=radii, eps=eps)
 
@@ -229,15 +228,15 @@ def _all_at_zero(g: Graph, eps: float) -> GreedyPermutation:
     return GreedyPermutation(order=list(range(g.n)), radii=[INF] + [0.0] * (g.n - 1), eps=eps)
 
 
-def _append_zero_distance_tail(g: Graph, fld: DistanceField, order_out, radii) -> None:
+def _append_zero_distance_tail(g: Graph, fld: np.ndarray, order_out, radii) -> None:
     # only vertices at distance zero from the selection (zero-weight edge
-    # classes) can remain after the last level; everything else violates
-    # the schedule's floor
+    # classes) can remain after the last level, which lies below every
+    # positive distance
     seen = set(order_out)
     for v in range(g.n):
         if v in seen:
             continue
-        if fld.delta[v] > 0.0:
+        if fld[v] > 0.0:
             raise AssertionError(f"vertex {v} left unselected at positive distance")
         order_out.append(v)
         radii.append(0.0)
@@ -280,13 +279,14 @@ def approx_greedy(g: Graph, eps: float, seed: int) -> GreedyPermutation:
     those that touch one.
     """
     _check_positive("eps", eps)
+    eps_run = min(eps, 1.0) / 3.0
+    _check_ratio(eps, 1.0 + eps_run)
     delta = approx_diameter(g)
     if delta == 0.0:
         perm = _all_at_zero(g, eps)
         perm.active_level_counts = np.zeros(g.m, dtype=np.int64)
         return perm
-    eps_run = min(eps, 1.0) / 3.0
-    schedule = LevelSchedule.down_to(delta, eps_run, g.min_weight())
+    schedule = _levels(delta, eps_run, g.min_weight())
     rng = np.random.default_rng(seed)
     n = g.n
     order_idx = np.argsort([w for _, _, w in g.edges], kind="stable")
@@ -294,7 +294,7 @@ def approx_greedy(g: Graph, eps: float, seed: int) -> GreedyPermutation:
     us = np.fromiter((e[0] for e in edges), dtype=np.int64, count=g.m)
     vs = np.fromiter((e[1] for e in edges), dtype=np.int64, count=g.m)
     ws = [e[2] for e in edges]
-    levels = np.asarray(schedule.levels)
+    levels = np.asarray(schedule)
     los = np.searchsorted(ws, eps_run * levels / (2.0 * n), side="right")
     his = np.searchsorted(ws, 2.0 * levels, side="right")
     busy = his > los
@@ -313,7 +313,7 @@ def approx_greedy(g: Graph, eps: float, seed: int) -> GreedyPermutation:
     radii: list[float] = []
     window = None
     for i in np.flatnonzero(run).tolist():
-        r = schedule.levels[i]
+        r = schedule[i]
         lo, hi = int(los[i]), int(his[i])
         if (lo, hi) != window:
             window = (lo, hi)
@@ -340,8 +340,7 @@ def approx_greedy(g: Graph, eps: float, seed: int) -> GreedyPermutation:
         radii.extend([r] * len(new))
     radii[0] = INF
     if len(order_out) < n:  # only a zero-distance tail can be left
-        _append_zero_distance_tail(g, DistanceField(_final_distances(g, order_out)),
-                                   order_out, radii)
+        _append_zero_distance_tail(g, _final_distances(g, order_out), order_out, radii)
     perm = GreedyPermutation(order=order_out, radii=radii, eps=eps)
     perm.active_level_counts = active_levels  # per-edge diagnostics
     return perm
@@ -350,7 +349,7 @@ def approx_greedy(g: Graph, eps: float, seed: int) -> GreedyPermutation:
 def _final_distances(g: Graph, selected) -> np.ndarray:
     from .graphs import dijkstra
 
-    return dijkstra(g, selected).delta
+    return dijkstra(g, selected)
 
 
 # --- k-center ---
@@ -375,9 +374,8 @@ def k_center_integer(g: Graph, k: int, seed: int):
 
     def decide(x: int) -> bool:
         rng = np.random.default_rng([seed, x])
-        fld = DistanceField.fresh(g.n)
         net = _net_sweep(g, 2.0 * x + 1.0, rng.permutation(g.n),
-                         np.zeros(g.n, dtype=bool), fld)
+                         np.zeros(g.n, dtype=bool), np.full(g.n, INF))
         ok = len(net.points) <= k
         if ok:
             best[x] = net
@@ -392,7 +390,7 @@ def k_center_integer(g: Graph, k: int, seed: int):
         else:
             lo = mid + 1
     net = best[lo]
-    return net.points, float(np.max(net.cover_field.delta))
+    return net.points, float(np.max(net.cover_field))
 
 
 def prefix_k_center(perm: GreedyPermutation, k: int):

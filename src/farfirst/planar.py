@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph, is_connected
-from .greedy import _check_positive
+from .greedy import _check_positive, _check_ratio
 # Not called here: importable from this module because perfbench/spans.py
 # traces it under the name planar.oracle_rows.
 from .graphs import dijkstra  # noqa: F401
@@ -333,6 +333,7 @@ def select_kth_distance(g: Graph, k: int, eps: float,
     the lower end of the bracket.
     """
     _check_positive("eps", eps)
+    _check_ratio(eps, 1.0 + eps)
     npairs = g.n * (g.n - 1) // 2
     if not 1 <= k <= npairs:
         raise ValueError(f"k must be in [1, {npairs}]")

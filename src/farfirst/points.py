@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DisjointSets, Graph, _csr, _ints, read_input
-from .greedy import GreedyPermutation, Net, _check_positive
+from .greedy import GreedyPermutation, Net, _check_positive, _check_ratio
 
 __all__ = [
     "PointSet",
@@ -281,6 +281,8 @@ def approx_r_net_points(pts: PointSet, r: float, eps: float, seed: int) -> Net:
     """
     _check_positive("r", r)
     _check_positive("eps", eps)
+    _check_ratio(eps, 1.0 + eps)
+    _point_diameter_bound(pts.coords)  # rejects distances that overflow
     rng = np.random.default_rng(seed)
     selected = _lsh_net_sweep(pts.coords, range(pts.n), r, 1.0 + eps, rng)
     # each selection's distance to the ones before it
@@ -441,10 +443,12 @@ def approx_minmax_tree(pts: PointSet, eps: float, seed: int) -> MinMaxTree:
     of the MST's with high probability.
     """
     _check_positive("eps", eps)
+    _check_ratio(eps, 1.0 + eps)
     n = pts.n
     if n < 2:
         raise ValueError("need at least 2 points")
     _require_distinct(pts.coords)
+    _point_diameter_bound(pts.coords)  # rejects distances that overflow
     rng = np.random.default_rng(seed)
     dsu = DisjointSets(n)
     coords = pts.coords
@@ -483,9 +487,13 @@ def approx_minmax_tree(pts: PointSet, eps: float, seed: int) -> MinMaxTree:
 
 
 def _point_diameter_bound(coords: np.ndarray) -> float:
-    with np.errstate(over="ignore"):  # an overflow reads inf, which callers reject
-        ecc = float(np.max(np.linalg.norm(coords - coords[0], axis=1)))
-    return 2.0 * ecc
+    """Twice the largest distance from the first point; a ValueError when
+    the distances overflow float64."""
+    with np.errstate(over="ignore"):  # an overflow reads inf, rejected below
+        bound = 2.0 * float(np.max(np.linalg.norm(coords - coords[0], axis=1)))
+    if math.isinf(bound):
+        raise ValueError("point distances overflow float64")
+    return bound
 
 
 def approx_greedy_points_bounded_spread(pts: PointSet, eps: float, seed: int) -> GreedyPermutation:
@@ -498,21 +506,18 @@ def approx_greedy_points_bounded_spread(pts: PointSet, eps: float, seed: int) ->
     loop needs no floor.
     """
     _check_positive("eps", eps)
+    c = 1.0 + min(math.sqrt(1.0 + eps) - 1.0, 0.9)
+    _check_ratio(eps, c)
     _require_distinct(pts.coords)
     if pts.n == 1:
         return GreedyPermutation(order=[0], radii=[float("inf")], eps=eps)
     coords = pts.coords
-    eps_run = min(math.sqrt(1.0 + eps) - 1.0, 0.9)
-    _check_positive("eps", eps_run)  # 0 when 1 + eps rounds to 1
-    c = 1.0 + eps_run
     rng = np.random.default_rng(seed)
     order_out: list[int] = []
     radii: list[float] = []
     emitted = np.zeros(pts.n, dtype=bool)
     to_sel = np.full(pts.n, np.inf)  # distance to the nearest selected point
     r = _point_diameter_bound(coords)
-    if math.isinf(r):
-        raise ValueError("point distances overflow float64")
     while not emitted.all():
         # distinct points at computed distance 0 would never be emitted
         if r == 0.0 or not to_sel[~emitted].all():
@@ -560,6 +565,10 @@ def approx_greedy_points(pts: PointSet, eps: float, seed: int) -> GreedyPermutat
     still keeps every new point more than c r from all earlier ones.
     """
     _check_positive("eps", eps)
+    e_int = min(eps, 8.0) / 8.0   # net slack and level ratio
+    eps_a = min(eps, 1.0)         # activation budget
+    c = 1.0 + e_int
+    _check_ratio(eps, c)
     _require_distinct(pts.coords)
     n = pts.n
     if n == 1:
@@ -569,12 +578,7 @@ def approx_greedy_points(pts: PointSet, eps: float, seed: int) -> GreedyPermutat
     from scipy.sparse.csgraph import connected_components
 
     coords = pts.coords
-    e_int = min(eps, 8.0) / 8.0   # net slack and level ratio
-    eps_a = min(eps, 1.0)         # activation budget
-    c = 1.0 + e_int
     r = _point_diameter_bound(coords)
-    if math.isinf(r):
-        raise ValueError("point distances overflow float64")
     rng = np.random.default_rng(seed)
     tree = approx_minmax_tree(pts, eps, int(rng.integers(2**63)))
     longest_incident = np.zeros(n)

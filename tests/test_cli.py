@@ -2,13 +2,15 @@
 and determinism, all through in-process main(argv) calls."""
 
 import json
+import tracemalloc
 import types
 
+import numpy as np
 import pytest
 
 import farfirst.greedy
 import farfirst.oracles
-from farfirst.cli import main
+from farfirst.cli import _point_matrix, main
 
 PATH4 = "4 3\n0 1 1\n1 2 1\n2 3 1\n"
 PATH5 = "5 4\n0 1 1\n1 2 1\n2 3 1\n3 4 1\n"
@@ -203,6 +205,20 @@ def test_non_finite_parameters_on_planar_and_points_are_exit_2(files, capsys, ar
     assert len(err) == 1 and "finite and positive" in err[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["greedy", "--eps", "1e-17", "--bounded-spread", "--graph", "path4.edg"],
+    ["greedy", "--eps", "1e-16", "--graph", "path4.edg"],
+    ["select", "-k", "2", "--eps", "1e-17", "--planar", "--graph", "k3.edg"],
+    ["greedy", "--eps", "1e-17", "--points", "pts.xy"],
+    ["greedy", "--eps", "1e-17", "--bounded-spread", "--points", "pts.xy"],
+    ["net", "-r", "1", "--eps", "1e-17", "--points", "pts.xy"],
+])
+def test_eps_whose_level_ratio_rounds_to_one_is_exit_2(files, capsys, argv):
+    assert main(argv[:-1] + [files[argv[-1]]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "eps 1e-1" in err[0] and "too small" in err[0]
+
+
 @pytest.mark.parametrize("flags", [[], ["--bounded-spread"]])
 @pytest.mark.parametrize("eps", ["0.5", "1e-3"])
 def test_points_at_computed_distance_zero_are_exit_2(tmp_path, capsys, eps, flags):
@@ -213,13 +229,34 @@ def test_points_at_computed_distance_zero_are_exit_2(tmp_path, capsys, eps, flag
     assert err == ["error: duplicate points (infinite spread)"]
 
 
-@pytest.mark.parametrize("flags", [[], ["--bounded-spread"]])
+@pytest.mark.parametrize("flags", [["greedy"], ["greedy", "--bounded-spread"],
+                                   ["net", "-r", "1e199"]])
 def test_points_at_overflowing_distance_are_exit_2(tmp_path, capsys, flags):
     p = tmp_path / "far.xy"
     p.write_text("2 1\n0\n1e200\n")
-    assert main(["greedy", "--points", str(p), "--eps", "0.5"] + flags) == 2
+    assert main(flags[:1] + ["--points", str(p), "--eps", "0.5"] + flags[1:]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: point distances overflow float64"]
+
+
+def test_point_matrix_is_built_row_by_row():
+    """Equal, bit for bit, to the n x n x d difference-tensor form, which it
+    never holds: the heap peak stays under four n x n matrices."""
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 7, 20, 64):
+        coords = rng.uniform(-1.0, 1.0, size=(50, d)) * 10.0 ** float(rng.integers(-6, 7))
+        diff = coords[:, None, :] - coords[None, :, :]
+        want = np.sqrt((diff * diff).sum(axis=2))
+        assert _point_matrix(coords).tobytes() == want.tobytes()
+    n = 300
+    coords = rng.uniform(size=(n, 64))
+    tracemalloc.start()
+    try:
+        _point_matrix(coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * n * 8
 
 
 def test_nan_edge_weight_is_exit_2(tmp_path, capsys):

@@ -42,7 +42,7 @@ import pytest
 
 from farfirst.generators import (delaunay_graph, grid_graph, random_ktree,
                                  random_series_parallel, random_tree)
-from farfirst.graphs import DistanceField, approx_diameter, make_graph
+from farfirst.graphs import approx_diameter, make_graph
 from farfirst.greedy import (approx_greedy, approx_greedy_bounded_spread, k_center_integer,
                              r_net)
 from farfirst.planar import build_hd, count_short_pairs, exact_oracle, select_kth_distance
@@ -169,7 +169,7 @@ def _net_record(net) -> dict:
             "deltas": [float(x).hex() for x in net.selection_deltas],
             "updates": int(net.updates),
             "field": hashlib.sha256(np.ascontiguousarray(
-                net.cover_field.delta, dtype=np.float64).tobytes()).hexdigest()}
+                net.cover_field, dtype=np.float64).tobytes()).hexdigest()}
 
 
 def net_digest(instance: str) -> str:
@@ -178,9 +178,9 @@ def net_digest(instance: str) -> str:
     radii = [frac * top for frac in (0.3, 0.1, 0.02)]
     order = np.random.default_rng(300).permutation(g.n).tolist()
     fresh = [_net_record(r_net(g, r, order=order)) for r in radii]
-    fld, carried = DistanceField.fresh(g.n), []
+    fld, carried = np.full(g.n, np.inf), []
     for r in radii:
-        net = r_net(g, r, order=order, used=np.flatnonzero(fld.delta <= r).tolist(), field=fld)
+        net = r_net(g, r, order=order, used=np.flatnonzero(fld <= r).tolist(), field=fld)
         carried.append(_net_record(net))
     return _sha({"fresh": fresh, "carried": carried})
 

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse.csgraph as csg
 
 from farfirst.generators import random_connected_graph
-from farfirst.graphs import (INF, DisjointSets, DistanceField, KruskalTree, approx_diameter,
+from farfirst.graphs import (INF, DisjointSets, KruskalTree, approx_diameter,
                              contract_graph, dijkstra, dijkstra_truncated, is_connected,
                              make_graph, parse_graph, pruned_dijkstra_relax, spread,
                              write_graph)
@@ -102,12 +102,12 @@ def test_parse_missing_file():
 
 def test_dijkstra_path_single_source():
     f = dijkstra(path_graph(3), [0])
-    np.testing.assert_array_equal(f.delta, [0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(f, [0.0, 1.0, 2.0])
 
 
 def test_dijkstra_two_sources():
     f = dijkstra(path_graph(3), [0, 2])
-    np.testing.assert_array_equal(f.delta, [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(f, [0.0, 1.0, 0.0])
 
 
 def test_dijkstra_empty_sources_rejected():
@@ -123,7 +123,7 @@ def test_dijkstra_matches_bellman_ford_bit_exact():
         m = int(rng.integers(n - 1, 3 * n))
         g = random_connected_graph(n, m, rng)
         s = int(rng.integers(n))
-        np.testing.assert_array_equal(dijkstra(g, [s]).delta, bellman_ford(g, s))
+        np.testing.assert_array_equal(dijkstra(g, [s]), bellman_ford(g, s))
 
 
 def test_dijkstra_truncated_never_exceeds_cutoff():
@@ -151,51 +151,51 @@ def test_zero_weight_edges_connect():
 
 def test_pruned_relax_unpruned_case():
     g = path_graph(4)
-    field = DistanceField.fresh(4)
-    updates = pruned_dijkstra_relax(g.adjacency(), [0], field.delta)
-    np.testing.assert_array_equal(field.delta, [0.0, 1.0, 2.0, 3.0])
+    field = np.full(4, INF)
+    updates = pruned_dijkstra_relax(g.adjacency(), [0], field)
+    np.testing.assert_array_equal(field, [0.0, 1.0, 2.0, 3.0])
     assert updates == 3  # source assignment itself is not a decrease-key
 
 
 def test_pruned_relax_second_source_takes_pointwise_min():
     g = path_graph(4)
-    field = DistanceField.fresh(4)
-    pruned_dijkstra_relax(g.adjacency(), [0], field.delta)
-    updates = pruned_dijkstra_relax(g.adjacency(), [3], field.delta)
+    field = np.full(4, INF)
+    pruned_dijkstra_relax(g.adjacency(), [0], field)
+    updates = pruned_dijkstra_relax(g.adjacency(), [3], field)
     # vertex 2 improves to 1; vertex 1's tentative 2 never beats its value 1
-    np.testing.assert_array_equal(field.delta, [0.0, 1.0, 1.0, 0.0])
+    np.testing.assert_array_equal(field, [0.0, 1.0, 1.0, 0.0])
     assert updates == 1
 
 
 def test_pruned_relax_fully_pruned():
     g = path_graph(4)
-    field = DistanceField(delta=np.zeros(4))
+    field = np.zeros(4)
     for s in range(4):
-        assert pruned_dijkstra_relax(g.adjacency(), [s], field.delta) == 0
-    np.testing.assert_array_equal(field.delta, np.zeros(4))
+        assert pruned_dijkstra_relax(g.adjacency(), [s], field) == 0
+    np.testing.assert_array_equal(field, np.zeros(4))
 
 
 def test_pruned_relax_equals_min_of_field_and_fresh_run():
     rng = np.random.default_rng(40)
     for _ in range(10):
         g = random_connected_graph(30, 70, rng)
-        field = DistanceField.fresh(g.n)
+        field = np.full(g.n, INF)
         for s in rng.permutation(g.n)[:8]:
-            before = field.delta.copy()
-            fresh = dijkstra(g, [int(s)]).delta
-            pruned_dijkstra_relax(g.adjacency(), [int(s)], field.delta)
-            np.testing.assert_array_equal(field.delta, np.minimum(before, fresh))
+            before = field.copy()
+            fresh = dijkstra(g, [int(s)])
+            pruned_dijkstra_relax(g.adjacency(), [int(s)], field)
+            np.testing.assert_array_equal(field, np.minimum(before, fresh))
 
 
 def test_pruned_relax_monotone_decreasing():
     rng = np.random.default_rng(41)
     g = random_connected_graph(40, 90, rng)
-    field = DistanceField.fresh(g.n)
-    prev = field.delta.copy()
+    field = np.full(g.n, INF)
+    prev = field.copy()
     for s in rng.permutation(g.n):
-        pruned_dijkstra_relax(g.adjacency(), [int(s)], field.delta)
-        assert np.all(field.delta <= prev)
-        prev = field.delta.copy()
+        pruned_dijkstra_relax(g.adjacency(), [int(s)], field)
+        assert np.all(field <= prev)
+        prev = field.copy()
 
 
 def test_decrease_key_counts_logarithmic_on_average():
@@ -207,9 +207,9 @@ def test_decrease_key_counts_logarithmic_on_average():
         n = int(rng.integers(200, 2001))
         m = int(rng.integers(2 * n, 4 * n))
         g = random_connected_graph(n, m, rng)
-        field = DistanceField.fresh(n)
+        field = np.full(n, INF)
         adj = g.adjacency()
-        total = sum(pruned_dijkstra_relax(adj, [int(v)], field.delta) for v in rng.permutation(n))
+        total = sum(pruned_dijkstra_relax(adj, [int(v)], field) for v in rng.permutation(n))
         if total / n > 4.0 * math.log(n):
             failures += 1
     assert failures == 0
@@ -229,7 +229,7 @@ def test_pruned_relax_cutoff_equals_scipy_limit():
         if trial >= 8:  # real weights
             g = make_graph(g.n, [(u, v, w * float(rng.uniform(0.1, 3.0))) for u, v, w in g.edges])
         sources = rng.choice(g.n, size=int(rng.integers(1, 4)), replace=False).tolist()
-        full = dijkstra(g, sources).delta
+        full = dijkstra(g, sources)
         cutoff = float(np.sort(full)[g.n // 3])  # the distance of some vertex
         delta = [INF] * g.n
         pruned_dijkstra_relax(g.adjacency(), sources, delta, cutoff=cutoff)

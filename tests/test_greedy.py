@@ -7,9 +7,9 @@ import pytest
 
 from farfirst.generators import random_connected_graph
 from farfirst import greedy
-from farfirst.graphs import DistanceField, approx_diameter, make_graph, pruned_dijkstra_relax
-from farfirst.greedy import (LevelSchedule, approx_greedy, approx_greedy_bounded_spread,
-                             exact_greedy, k_center_integer, prefix_k_center, r_net)
+from farfirst.graphs import approx_diameter, make_graph, pruned_dijkstra_relax
+from farfirst.greedy import (approx_greedy, approx_greedy_bounded_spread, exact_greedy,
+                             k_center_integer, prefix_k_center, r_net)
 from farfirst.oracles import (apsp_exact, brute_greedy, kcenter_opt, verify_eps_greedy,
                               verify_net)
 
@@ -22,27 +22,27 @@ INF = float("inf")
 
 
 def test_level_schedule_geometric():
-    s = LevelSchedule.down_to(16.0, 1.0, 1.0)
-    assert s.levels == [16.0, 8.0, 4.0, 2.0, 1.0, 0.5]
-    assert s.m == 6
+    s = greedy._levels(16.0, 1.0, 1.0)
+    assert s == [16.0, 8.0, 4.0, 2.0, 1.0, 0.5]
+    assert len(s) == 6
 
 
 def test_level_schedule_descends_strictly_below_floor():
-    s = LevelSchedule.down_to(10.0, 0.5, 1.0)
-    assert s.levels[-1] < 1.0
-    assert all(a / (1.5) == b for a, b in zip(s.levels, s.levels[1:]))
-    assert all(v >= 1.0 for v in s.levels[:-1])
+    s = greedy._levels(10.0, 0.5, 1.0)
+    assert s[-1] < 1.0
+    assert all(a / (1.5) == b for a, b in zip(s, s[1:]))
+    assert all(v >= 1.0 for v in s[:-1])
 
 
 def test_level_schedule_guards():
     with pytest.raises(ValueError):
-        LevelSchedule.down_to(0.0, 1.0, 1.0)
+        greedy._levels(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        LevelSchedule.down_to(4.0, -1.0, 1.0)
+        greedy._levels(4.0, -1.0, 1.0)
     for bad in (INF, float("nan")):
         for args in ((bad, 1.0, 1.0), (4.0, bad, 1.0), (4.0, 1.0, bad)):
             with pytest.raises(ValueError, match="finite and positive"):
-                LevelSchedule.down_to(*args)
+                greedy._levels(*args)
 
 
 # --- r_net ---
@@ -51,7 +51,7 @@ def test_level_schedule_guards():
 def test_r_net_hand_trace(path4):
     net = r_net(path4, 1.5, order=[2, 0, 1, 3])
     assert net.points == [2, 0]
-    np.testing.assert_array_equal(net.cover_field.delta, [0.0, 1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(net.cover_field, [0.0, 1.0, 0.0, 1.0])
 
 
 def test_r_net_tiny_radius_selects_everything(path4):
@@ -92,7 +92,20 @@ def test_r_net_rejects_a_field_of_another_length():
     g = path_graph(3)
     for n in (2, 5):
         with pytest.raises(ValueError, match=f"field has {n} entries, graph has 3 vertices"):
-            r_net(g, 1.0, field=DistanceField.fresh(n))
+            r_net(g, 1.0, field=np.full(n, INF))
+
+
+def test_r_net_rejects_a_field_it_cannot_lower_in_place():
+    """The field is lowered in place, so an int64 field would truncate the
+    distances it stores (on this path the cover field is [0, 0.5, 0])."""
+    g = make_graph(3, [(0, 1, 0.5), (1, 2, 0.5)])
+    for bad in (np.full(3, 10**9, dtype=np.int64), np.full((3, 1), INF), [INF] * 3):
+        with pytest.raises(ValueError, match="1-D float64 array"):
+            r_net(g, 1.0, field=bad)
+    fld = np.full(3, INF)
+    net = r_net(g, 1.0, field=fld)
+    assert net.cover_field is fld
+    np.testing.assert_array_equal(fld, [0.0, 0.5, 0.0])
 
 
 def _unfiltered_sweep(g, r, order, used, field):
@@ -100,10 +113,10 @@ def _unfiltered_sweep(g, r, order, used, field):
     points, sel, updates = [], [], 0
     for v in order:
         v = int(v)
-        if field.delta[v] >= r and not used[v]:
+        if field[v] >= r and not used[v]:
             points.append(v)
-            sel.append(float(field.delta[v]))
-            updates += pruned_dijkstra_relax(g.adjacency(), [v], field.delta)
+            sel.append(float(field[v]))
+            updates += pruned_dijkstra_relax(g.adjacency(), [v], field)
     return points, sel, updates
 
 
@@ -114,14 +127,14 @@ def test_net_sweep_prefilter_matches_unfiltered_walk():
     rng = np.random.default_rng(97)
     for trial in range(8):
         g = random_connected_graph(60, 150, rng, w_hi=30)
-        fld, ref = DistanceField.fresh(g.n), DistanceField.fresh(g.n)
+        fld, ref = np.full(g.n, INF), np.full(g.n, INF)
         for r in (80.0, 40.0, 20.0, 7.0, 1.0):
-            used = fld.delta <= r if trial % 2 else np.zeros(g.n, dtype=bool)
+            used = fld <= r if trial % 2 else np.zeros(g.n, dtype=bool)
             order = rng.permutation(g.n)
             net = greedy._net_sweep(g, r, order, used, fld)
             want = _unfiltered_sweep(g, r, order, used, ref)
             assert (net.points, net.selection_deltas, net.updates) == want
-            assert fld.delta.tobytes() == ref.delta.tobytes()
+            assert fld.tobytes() == ref.tobytes()
 
 
 def test_every_graph_net_reaches_the_relax_kernel(monkeypatch):
@@ -157,7 +170,7 @@ def test_r_net_packing_and_covering_exact():
             check = verify_net(dm, net.points, r, cover_factor=1.0)
             assert check.ok, (check.packing_witness, check.covering_witness)
             # the returned field is the true distance-to-net
-            np.testing.assert_allclose(net.cover_field.delta, dm[net.points].min(axis=0),
+            np.testing.assert_allclose(net.cover_field, dm[net.points].min(axis=0),
                                        rtol=0, atol=1e-9)
 
 
@@ -280,6 +293,62 @@ def test_bounded_spread_radii_certificate_shape():
     assert all(a >= b for a, b in zip(finite, finite[1:]))
 
 
+def _floored_bounded_spread(g, eps, seed):
+    """The bounded greedy on the full floored schedule: every level from the
+    diameter bound down to the first one below the least positive weight."""
+    delta = approx_diameter(g)
+    if delta == 0.0:
+        return list(range(g.n)), [INF] + [0.0] * (g.n - 1)
+    rng = np.random.default_rng(seed)
+    fld = np.full(g.n, INF)
+    order, radii = [], []
+    for r in greedy._levels(delta, eps, g.min_weight()):
+        for v in greedy._net_sweep(g, r, rng.permutation(g.n), fld <= r, fld).points:
+            radii.append(INF if not order else r)
+            order.append(v)
+    for v in range(g.n):
+        if v not in order:
+            assert fld[v] == 0.0
+            order.append(v)
+            radii.append(0.0)
+    return order, radii
+
+
+def test_bounded_spread_lazy_levels_match_floored_schedule():
+    """Stopping once nothing is left at positive distance skips only levels
+    that emit nothing, and their permutation draws come after the last
+    emission: the output equals the floored schedule's."""
+    rng = np.random.default_rng(24)
+    graphs = [make_graph(1, []), make_graph(2, [(0, 1, 3.0)]), make_graph(2, [(0, 1, 0.0)])]
+    for trial in range(40):
+        n = int(rng.integers(3, 40))
+        g = random_connected_graph(n, int(rng.integers(n - 1, 2 * n)), rng)
+        kind = trial % 4
+        if kind == 1:  # zero weights and parallel edges
+            extra = [(v, u, float(rng.integers(0, 3))) for u, v, _ in g.edges[::2]]
+            g = make_graph(n, [(u, v, float(rng.integers(0, 3))) for u, v, _ in g.edges] + extra)
+        elif kind == 2:  # weights spread over 200 decades
+            g = make_graph(n, [(u, v, float(10.0 ** rng.uniform(0, 200))) for u, v, _ in g.edges])
+        elif kind == 3:
+            g = make_graph(n, [(u, v, float(rng.uniform(0, 1))) for u, v, _ in g.edges])
+        graphs.append(g)
+    for g in graphs:
+        for eps in (0.1, 0.5, 2.0):
+            seed = int(rng.integers(2**32))
+            perm = approx_greedy_bounded_spread(g, eps, seed)
+            assert (perm.order, perm.radii) == _floored_bounded_spread(g, eps, seed)
+
+
+@pytest.mark.parametrize("fn, eps", [
+    (approx_greedy_bounded_spread, 1e-17),
+    (approx_greedy, 1e-16),
+    (approx_greedy, 3e-16),  # 1 + eps > 1, but 1 + eps/3 rounds to 1
+], ids=lambda x: getattr(x, "__name__", repr(x)))
+def test_graph_greedies_reject_an_eps_whose_level_ratio_rounds_to_one(path4, fn, eps):
+    with pytest.raises(ValueError, match=f"eps {eps!r} is too small"):
+        fn(path4, eps, seed=1)
+
+
 def test_bounded_spread_guards(path4):
     with pytest.raises(ValueError):
         approx_greedy_bounded_spread(path4, 0.0, seed=1)
@@ -372,8 +441,8 @@ def test_approx_greedy_unit_weights_never_skips():
     perm = approx_greedy(g, eps, seed=5)
     counts = perm.active_level_counts
     assert counts.min() == counts.max()
-    internal = LevelSchedule.down_to(approx_diameter(g), min(eps, 1.0) / 3.0, g.min_weight())
-    assert counts.max() == internal.m
+    internal = greedy._levels(approx_diameter(g), min(eps, 1.0) / 3.0, g.min_weight())
+    assert counts.max() == len(internal)
 
 
 def test_approx_greedy_is_permutation_with_monotone_radii():

@@ -278,6 +278,11 @@ def test_select_all_k_bracketed():
         assert alpha <= true <= factor * alpha, (k, alpha, true)
 
 
+def test_select_rejects_an_eps_whose_level_ratio_rounds_to_one():
+    with pytest.raises(ValueError, match="eps 1e-17 is too small"):
+        select_kth_distance(path_graph(4), 2, 1e-17)
+
+
 def test_select_k_out_of_range():
     g = path_graph(4)
     with pytest.raises(ValueError):

@@ -480,14 +480,34 @@ def test_ann_on_points_at_computed_distance_zero_scans_linearly():
     assert got.tolist() == [0, 0, 0]
 
 
-@pytest.mark.parametrize("greedy", [approx_greedy_points_bounded_spread, approx_greedy_points],
+@pytest.mark.parametrize("greedy", [approx_greedy_points_bounded_spread, approx_greedy_points,
+                                    approx_minmax_tree, approx_r_net_points],
                          ids=lambda f: f.__name__)
 def test_points_greedy_rejects_overflowing_distances(greedy):
-    pts = PointSet(np.array([[0.0], [1e200]]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="point distances overflow float64"):
-            greedy(pts, 0.5, seed=0)
+    """The greedies, and the tree and net they build on, reject points whose
+    distances overflow float64, without a RuntimeWarning."""
+    args = (1e199, 0.5) if greedy is approx_r_net_points else (0.5,)
+    for coords in ([[0.0], [1e200]], [[0.0], [1e200], [3e200]]):
+        pts = PointSet(np.array(coords))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="point distances overflow float64"):
+                greedy(pts, *args, seed=0)
+
+
+@pytest.mark.parametrize("fn, eps", [
+    (approx_greedy_points, 1e-17),
+    (approx_greedy_points, 8e-16),  # 1 + eps > 1, but 1 + eps/8 rounds to 1
+    (approx_greedy_points_bounded_spread, 1e-17),
+    (approx_greedy_points_bounded_spread, 3e-16),  # sqrt(1 + eps) rounds to 1
+    (approx_minmax_tree, 1e-17),
+    (approx_r_net_points, 1e-17),
+], ids=lambda x: getattr(x, "__name__", repr(x)))
+def test_points_reject_an_eps_whose_level_ratio_rounds_to_one(fn, eps):
+    pts = PointSet(np.array([[0.0], [1.0], [3.0]]))
+    args = (1.0, eps) if fn is approx_r_net_points else (eps,)
+    with pytest.raises(ValueError, match=f"eps {eps!r} is too small"):
+        fn(pts, *args, seed=0)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
