@@ -5,7 +5,7 @@ graphs, and planar graphs, with a brute-force oracle suite."""
 from .graphs import (INF, ContractedGraph, DisjointSets, Graph, KruskalTree,
                      approx_diameter, contract_graph, dijkstra,
                      dijkstra_truncated, is_connected, make_graph, parse_graph,
-                     pruned_dijkstra_relax, spread, write_graph)
+                     pruned_dijkstra_relax, write_graph)
 from .greedy import (GreedyPermutation, Net, approx_greedy,
                      approx_greedy_bounded_spread, exact_greedy,
                      k_center_integer, prefix_k_center, r_net)

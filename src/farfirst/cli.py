@@ -1,8 +1,8 @@
 """Command-line interface: greedy permutations, nets, k-center, and planar
 counting/selection over one entry point.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input errors,
-3 internal invariant failure.
+Exit codes: 0 success, 1 verification failure, 2 usage or input errors
+(an input too large for memory among them), 3 internal invariant failure.
 Every output is byte-deterministic for a fixed config and seed.
 """
 
@@ -68,6 +68,7 @@ def cmd_greedy(args) -> int:
         if args.td is not None:
             raise ValueError("--td applies to graph inputs only")
         pts = parse_points(args.points)
+        dm = None
         if args.exact:
             dm = _point_matrix(pts.coords)
             perm = brute_greedy(dm, args.first)
@@ -75,7 +76,8 @@ def cmd_greedy(args) -> int:
             perm = approx_greedy_points_bounded_spread(pts, args.eps, args.seed)
         else:
             perm = approx_greedy_points(pts, args.eps, args.seed)
-        dm = _point_matrix(pts.coords) if args.verify else None
+        if args.verify and dm is None:  # the exact path's matrix serves --verify too
+            dm = _point_matrix(pts.coords)
     else:
         from .greedy import approx_greedy, approx_greedy_bounded_spread, exact_greedy
 
@@ -255,6 +257,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        source = args.points if getattr(args, "points", None) is not None else args.graph
+        print(f"error: out of memory on {source}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

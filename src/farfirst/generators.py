@@ -11,10 +11,13 @@ import numpy as np
 
 from .graphs import Graph, make_graph
 
+_DELAUNAY_SCALE = 1000  # Delaunay edge weight: Euclidean length times this, rounded
+_DROP = 0.3  # chance that a partial 2-tree or k-tree omits an optional edge
+
 
 def random_connected_graph(n: int, m: int, rng: np.random.Generator,
-                           w_lo: int = 1, w_hi: int = 100) -> Graph:
-    """Random spanning tree plus extra edges; integer weights in [w_lo, w_hi]."""
+                           w_hi: int = 100) -> Graph:
+    """Random spanning tree plus extra edges; integer weights in [1, w_hi]."""
     if m < n - 1:
         raise ValueError(f"need m >= n-1 for connectivity, got m={m}, n={n}")
     perm = rng.permutation(n)
@@ -22,7 +25,7 @@ def random_connected_graph(n: int, m: int, rng: np.random.Generator,
     present = set()
     for i in range(1, n):
         u, v = int(perm[i]), int(perm[rng.integers(0, i)])
-        edges.append((u, v, float(rng.integers(w_lo, w_hi + 1))))
+        edges.append((u, v, float(rng.integers(1, w_hi + 1))))
         present.add((min(u, v), max(u, v)))
     tries = 0
     while len(edges) < m and tries < 20 * m:
@@ -31,7 +34,7 @@ def random_connected_graph(n: int, m: int, rng: np.random.Generator,
         if u == v or (min(u, v), max(u, v)) in present:
             continue
         present.add((min(u, v), max(u, v)))
-        edges.append((u, v, float(rng.integers(w_lo, w_hi + 1))))
+        edges.append((u, v, float(rng.integers(1, w_hi + 1))))
     return make_graph(n, edges)
 
 
@@ -54,7 +57,7 @@ def grid_graph(rows: int, cols: int, rng: np.random.Generator | None = None,
     return make_graph(rows * cols, edges)
 
 
-def delaunay_graph(n: int, rng: np.random.Generator, scale: int = 1000) -> Graph:
+def delaunay_graph(n: int, rng: np.random.Generator) -> Graph:
     """Delaunay triangulation of n random points; integer edge weights."""
     from scipy.spatial import Delaunay
 
@@ -69,7 +72,7 @@ def delaunay_graph(n: int, rng: np.random.Generator, scale: int = 1000) -> Graph
             pairs.add((min(u, v), max(u, v)))
     edges = []
     for u, v in sorted(pairs):
-        w = float(max(1, round(np.linalg.norm(pts[u] - pts[v]) * scale)))
+        w = float(max(1, round(np.linalg.norm(pts[u] - pts[v]) * _DELAUNAY_SCALE)))
         edges.append((u, v, w))
     return make_graph(n, edges)
 
@@ -110,8 +113,7 @@ def random_tree(n: int, rng: np.random.Generator, w_hi: int = 100):
     return make_graph(n, edges), format_tree_decomposition(bags, tree_edges)
 
 
-def random_series_parallel(n: int, rng: np.random.Generator, w_hi: int = 100,
-                           drop: float = 0.3):
+def random_series_parallel(n: int, rng: np.random.Generator, w_hi: int = 100):
     """Random partial 2-tree (treewidth <= 2, the series-parallel family)."""
     if n < 2:
         raise ValueError("need n >= 2")
@@ -127,15 +129,14 @@ def random_series_parallel(n: int, rng: np.random.Generator, w_hi: int = 100,
         node = len(bags) - 1
         tree_edges.append((node, edge_node[(u, v)]))
         edges.append((u, i, w()))  # kept: guarantees connectivity
-        if rng.random() >= drop:
+        if rng.random() >= _DROP:
             edges.append((v, i, w()))
         growable += [(u, i), (v, i)]
         edge_node[(u, i)] = edge_node[(v, i)] = node
     return make_graph(n, edges), format_tree_decomposition(bags, tree_edges)
 
 
-def random_ktree(n: int, k: int, rng: np.random.Generator, w_hi: int = 100,
-                 drop: float = 0.3):
+def random_ktree(n: int, k: int, rng: np.random.Generator, w_hi: int = 100):
     """Random partial k-tree of treewidth <= k with its decomposition."""
     if n < k + 1:
         raise ValueError(f"need n >= k+1 = {k + 1}")
@@ -153,7 +154,7 @@ def random_ktree(n: int, k: int, rng: np.random.Generator, w_hi: int = 100,
         tree_edges.append((len(bags) - 1, node))
         edges.append((clique[0], i, w()))  # kept for connectivity
         for v in clique[1:]:
-            if rng.random() >= drop:
+            if rng.random() >= _DROP:
                 edges.append((v, i, w()))
     return make_graph(n, edges), format_tree_decomposition(bags, tree_edges)
 

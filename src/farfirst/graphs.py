@@ -1,16 +1,17 @@
-"""Weighted undirected graphs: parsing, Dijkstra variants, diameter and spread.
+"""Weighted undirected graphs: parsing, Dijkstra variants and diameter.
 
 Whole-graph and multi-source searches run in scipy's Dijkstra over one CSR
 builder and return one float64 distance per vertex.  The pruned relaxation
-is the one Python heap loop, shared by every net sweep and the spread-free
+is the Python heap loop shared by every net sweep and the spread-free
 greedy's truncated distances, because its pruning is what the sweep's
-amortisation counts.
+amortisation counts; the planar pair tables run their own labelled heap
+(planar._pair_tables).  The headed text formats (edge lists, points,
+decompositions) all split their header and rows with _headed.
 """
 
 from __future__ import annotations
 
 import heapq
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,8 +35,9 @@ class Graph:
 
     n: int
     edges: list[tuple[int, int, float]] = field(default_factory=list)
-    _adj: list[list[tuple[int, float]]] | None = None
-    _csr: object | None = None
+    _adj: list[list[tuple[int, float]]] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _csr: object | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -123,6 +125,29 @@ def read_input(source, what: str) -> tuple[str, str]:
     return "<string>", str(source)
 
 
+def _headed(text: str, name: str, what: str, header: str):
+    """Split a headed text format into (lineno, a, b, rows).
+
+    The first non-blank line is the header of two integers a and b, at
+    physical line lineno; rows lists every later non-blank line as
+    (1-based physical line number, whitespace-split fields).  An empty text
+    is an error naming `what`, and a header that is not two integers is an
+    error at name:lineno quoting `header`.
+    """
+    rows = [(i, parts) for i, ln in enumerate(text.splitlines(), start=1)
+            if (parts := ln.split())]
+    if not rows:
+        raise ValueError(f"{name}: empty {what}")
+    lineno, head = rows[0]
+    if len(head) != 2:
+        raise ValueError(f"{name}:{lineno}: expected header '{header}'")
+    try:
+        a, b = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise ValueError(f"{name}:{lineno}: bad header '{header}': {exc}") from exc
+    return lineno, a, b, rows[1:]
+
+
 def _ints(parts, name: str, lineno: int) -> list[int]:
     """The integers spelled by parts; a bad one is an error at name:lineno."""
     try:
@@ -149,23 +174,13 @@ def parse_graph(source, fmt: str | None = None) -> Graph:
 
 
 def _parse_edgelist(text: str, name: str) -> Graph:
-    lines = text.splitlines()
-    rows = [(i + 1, ln.split()) for i, ln in enumerate(lines) if ln.strip()]
-    if not rows:
-        raise ValueError(f"{name}: empty graph file")
-    lineno, head = rows[0]
-    if len(head) != 2:
-        raise ValueError(f"{name}:{lineno}: expected header 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise ValueError(f"{name}:{lineno}: bad header 'n m': {exc}") from exc
+    lineno, n, m, rows = _headed(text, name, "graph file", "n m")
     if n < 1 or m < 0:
         raise ValueError(f"{name}:{lineno}: need n >= 1 and m >= 0")
-    if len(rows) - 1 != m:
-        raise ValueError(f"{name}: header promises {m} edges, file has {len(rows) - 1}")
+    if len(rows) != m:
+        raise ValueError(f"{name}: header promises {m} edges, file has {len(rows)}")
     edges = []
-    for lineno, parts in rows[1:]:
+    for lineno, parts in rows:
         if len(parts) != 3:
             raise ValueError(f"{name}:{lineno}: expected 'u v w'")
         try:
@@ -283,13 +298,6 @@ def approx_diameter(g: Graph) -> float:
     if ecc == INF:
         raise ValueError("graph is disconnected")
     return 2.0 * ecc
-
-
-def spread(g: Graph) -> float:
-    """Approximate diameter over the minimum positive edge weight."""
-    if any(w == 0.0 for _, _, w in g.edges):
-        warnings.warn("zero-weight edges present; spread uses the minimum positive weight")
-    return approx_diameter(g) / g.min_weight()
 
 
 def is_connected(g: Graph) -> bool:

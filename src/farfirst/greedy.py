@@ -79,11 +79,32 @@ def _check_positive(name: str, x: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {x}")
 
 
+# The most levels a geometric schedule may take.  A longer one is an eps too
+# small for the input's spread: eps 1e-15 on a spread of 1e6 would need
+# about 1e16 levels, which no run finishes, while eps 0.01 on a spread of
+# 1e200 needs about 46k.
+MAX_LEVELS = 10**6
+
+
 def _check_ratio(eps: float, ratio: float) -> None:
     """Reject an eps whose level ratio (1 + eps, or the smaller one a caller
     derives from eps) rounds to 1: its radii would never shrink."""
     if not ratio > 1.0:
         raise ValueError(f"eps {eps!r} is too small: its level ratio rounds to 1")
+
+
+def _check_levels(eps: float, ratio: float, top: float, bottom: float) -> None:
+    """Reject an eps whose schedule, shrinking by ratio from top to below
+    bottom, never shrinks or takes more than MAX_LEVELS levels, that is
+    ceil(log(top / bottom) / log(ratio)) + 1.  Checked before the loop, so
+    such an eps fails at once and not after a run out of time or memory.
+    The logs are taken apart, so a top / bottom that overflows still counts.
+    """
+    _check_ratio(eps, ratio)
+    levels = (math.log(top) - math.log(bottom)) / math.log(ratio) + 1.0
+    if levels > MAX_LEVELS:  # for an integer cap, the same test as on the ceil
+        raise ValueError(f"eps {eps!r} is too small: its schedule from {top!r} down to "
+                         f"{bottom!r} needs about {levels:.3g} levels, over {MAX_LEVELS}")
 
 
 def _levels(delta: float, eps: float, floor: float) -> list[float]:
@@ -129,37 +150,26 @@ def _net_sweep(g: Graph, r: float, order, used, field: np.ndarray) -> Net:
     return Net(points=points, r=r, cover_field=field, selection_deltas=sel, updates=updates)
 
 
-def r_net(g: Graph, r: float, order=None, used=(), field: np.ndarray | None = None) -> Net:
-    """Randomized-order r-net sweep over a (possibly carried) distance field.
+def r_net(g: Graph, r: float, order=None) -> Net:
+    """Randomized-order r-net sweep.
 
     Walks the given vertex order (natural order when omitted); whenever the
-    field value of a non-used vertex is still >= r, the vertex joins the net
-    and a pruned Dijkstra run lowers the field (n float64s, in place) around
-    it.  With a fresh field (the default) and an empty used set the result
-    is an exact r-net: pairwise distances >= r, covering <= r.
+    distance field of a vertex (n float64s, all infinite at the start) is
+    still >= r, the vertex joins the net and a pruned Dijkstra run lowers
+    the field around it.  The result is an exact r-net: pairwise distances
+    >= r, covering <= r.
     """
     _check_positive("r", r)
-    order = np.arange(g.n) if order is None else _vertex_ids(g.n, order, "order")
-    mask = np.zeros(g.n, dtype=bool)
-    mask[_vertex_ids(g.n, used, "used")] = True
+    if order is None:
+        order = np.arange(g.n)
+    else:
+        order = np.fromiter(order, dtype=np.int64)
+        bad = order[(order < 0) | (order >= g.n)]
+        if bad.size:
+            raise ValueError(f"order holds {int(bad[0])}, not a vertex id in 0..{g.n - 1}")
     if not is_connected(g):
         raise ValueError("graph is disconnected")
-    if field is None:
-        field = np.full(g.n, INF)
-    elif not (isinstance(field, np.ndarray) and field.dtype == np.float64 and field.ndim == 1):
-        raise ValueError("field must be a 1-D float64 array (it is lowered in place)")
-    elif len(field) != g.n:
-        raise ValueError(f"field has {len(field)} entries, graph has {g.n} vertices")
-    return _net_sweep(g, r, order, mask, field)
-
-
-def _vertex_ids(n: int, ids, what: str) -> np.ndarray:
-    """ids as an int64 array; a ValueError names the first one outside 0..n-1."""
-    ids = np.fromiter(ids, dtype=np.int64)
-    bad = ids[(ids < 0) | (ids >= n)]
-    if bad.size:
-        raise ValueError(f"{what} holds {int(bad[0])}, not a vertex id in 0..{n - 1}")
-    return ids
+    return _net_sweep(g, r, order, np.zeros(g.n, dtype=bool), np.full(g.n, INF))
 
 
 # --- exact greedy ---
@@ -202,10 +212,10 @@ def approx_greedy_bounded_spread(g: Graph, eps: float, seed: int) -> GreedyPermu
     the least positive distance ensures, so the loop needs no floor.
     """
     _check_positive("eps", eps)
-    _check_ratio(eps, 1.0 + eps)
     delta = approx_diameter(g)  # also proves connectivity
     if delta == 0.0:
         return _all_at_zero(g, eps)
+    _check_levels(eps, 1.0 + eps, delta, g.min_weight())
     rng = np.random.default_rng(seed)
     fld = np.full(g.n, INF)
     order_out: list[int] = []
@@ -280,13 +290,14 @@ def approx_greedy(g: Graph, eps: float, seed: int) -> GreedyPermutation:
     """
     _check_positive("eps", eps)
     eps_run = min(eps, 1.0) / 3.0
-    _check_ratio(eps, 1.0 + eps_run)
     delta = approx_diameter(g)
     if delta == 0.0:
         perm = _all_at_zero(g, eps)
         perm.active_level_counts = np.zeros(g.m, dtype=np.int64)
         return perm
-    schedule = _levels(delta, eps_run, g.min_weight())
+    floor = g.min_weight()
+    _check_levels(eps, 1.0 + eps_run, delta, floor)
+    schedule = _levels(delta, eps_run, floor)
     rng = np.random.default_rng(seed)
     n = g.n
     order_idx = np.argsort([w for _, _, w in g.edges], kind="stable")

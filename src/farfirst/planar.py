@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph, is_connected
-from .greedy import _check_positive, _check_ratio
+from .greedy import _check_levels, _check_positive
 # Not called here: importable from this module because perfbench/spans.py
 # traces it under the name planar.oracle_rows.
 from .graphs import dijkstra  # noqa: F401
@@ -50,7 +50,8 @@ class HDNode:
 @dataclass
 class HierarchicalDecomposition:
     nodes: list[HDNode]  # root at index 0, leaves are single vertices
-    _pair_cache: _PairTables | None = field(default=None, repr=False)
+    _pair_cache: _PairTables | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def boundary_sizes(self) -> list[int]:
         """Diagnostic: boundary size per internal patch."""
@@ -333,16 +334,16 @@ def select_kth_distance(g: Graph, k: int, eps: float,
     the lower end of the bracket.
     """
     _check_positive("eps", eps)
-    _check_ratio(eps, 1.0 + eps)
     npairs = g.n * (g.n - 1) // 2
     if not 1 <= k <= npairs:
         raise ValueError(f"k must be in [1, {npairs}]")
+    w_min = g.min_weight()
+    top = g.n * g.max_weight()
+    _check_levels(eps, 1.0 + eps, top, w_min)
     if hd is None:
         hd = build_hd(g)
     if oracle is None:
         oracle = exact_oracle(g)
-    w_min = g.min_weight()
-    top = g.n * g.max_weight()
     grid = [w_min]
     while grid[-1] < top:
         grid.append(grid[-1] * (1.0 + eps))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DisjointSets, Graph, _csr, _ints, read_input
+from .graphs import DisjointSets, Graph, _csr, _headed, read_input
 from .greedy import GreedyPermutation, Net, _check_positive, _check_ratio
 
 __all__ = [
@@ -60,19 +60,13 @@ class PointSet:
 def parse_points(source) -> PointSet:
     """Read a point file: header "n d", then n coordinate rows."""
     name, text = read_input(source, "point file")
-    rows = [(i + 1, ln.split()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
-    if not rows:
-        raise ValueError(f"{name}: empty point file")
-    lineno, head = rows[0]
-    if len(head) != 2:
-        raise ValueError(f"{name}:{lineno}: expected header 'n d'")
-    n, d = _ints(head, name, lineno)
+    lineno, n, d, rows = _headed(text, name, "point file", "n d")
     if n < 1 or d < 1:
         raise ValueError(f"{name}:{lineno}: need n >= 1 and d >= 1")
-    if len(rows) - 1 != n:
-        raise ValueError(f"{name}: header promises {n} points, file has {len(rows) - 1}")
+    if len(rows) != n:
+        raise ValueError(f"{name}: header promises {n} points, file has {len(rows)}")
     coords = np.empty((n, d))
-    for i, (lineno, parts) in enumerate(rows[1:]):
+    for i, (lineno, parts) in enumerate(rows):
         if len(parts) != d:
             raise ValueError(f"{name}:{lineno}: expected {d} coordinates")
         try:

@@ -10,19 +10,19 @@ and the farthest vertex comes from one scan of a (2w + 2) x n matrix of
 within-subgraph distances to the boundary, one column per vertex.
 
 The L-inf nearest-neighbor index (linf_build, linf_query) no longer serves
-the greedy; it stays public and tested, and perfbench/spans.py traces it
-under these names.
+the greedy.  It is a linear scan, kept public and tested only because
+perfbench/spans.py traces it under these names.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.csgraph as csg
 
-from .graphs import INF, DisjointSets, Graph, _csr, _ints, is_connected, read_input
+from .graphs import INF, DisjointSets, Graph, _csr, _headed, _ints, is_connected, read_input
 from .greedy import GreedyPermutation
 
 __all__ = [
@@ -54,20 +54,14 @@ def parse_tree_decomposition(source, g: Graph) -> TreeDecomposition:
     space-separated members, then b-1 tree-edge lines "i j".
     """
     name, text = read_input(source, "decomposition")
-    rows = [(i + 1, ln.split()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
-    if not rows:
-        raise ValueError(f"{name}: empty decomposition")
-    lineno, head = rows[0]
-    if len(head) != 2:
-        raise ValueError(f"{name}:{lineno}: expected header 'b w'")
-    b, w = _ints(head, name, lineno)
+    lineno, b, w, rows = _headed(text, name, "decomposition", "b w")
     if b < 1:
         raise ValueError(f"{name}:{lineno}: need at least one bag")
-    if len(rows) != 1 + b + (b - 1):
+    if len(rows) != b + (b - 1):
         raise ValueError(f"{name}: expected {b} bags and {b - 1} tree edges, "
-                         f"found {len(rows) - 1} lines")
+                         f"found {len(rows)} lines")
     bags: list[tuple[int, ...]] = []
-    for lineno, parts in rows[1:1 + b]:
+    for lineno, parts in rows[:b]:
         members = _ints(parts, name, lineno)
         if not members:
             raise ValueError(f"{name}:{lineno}: empty bag")
@@ -82,7 +76,7 @@ def parse_tree_decomposition(source, g: Graph) -> TreeDecomposition:
         raise ValueError(f"{name}: header claims width {w}, bags have width {width}")
     dsu = DisjointSets(b)
     tree_edges: list[tuple[int, int]] = []
-    for lineno, parts in rows[1 + b:]:
+    for lineno, parts in rows[b:]:
         if len(parts) != 2:
             raise ValueError(f"{name}:{lineno}: expected tree edge 'i j'")
         i, j = _ints(parts, name, lineno)
@@ -181,7 +175,6 @@ class Subgraph:
 @dataclass
 class RestrictedPartition:
     subgraphs: list[Subgraph]
-    k: int
 
 
 def restricted_partition(g: Graph, td: TreeDecomposition, k: int) -> RestrictedPartition:
@@ -273,7 +266,7 @@ def restricted_partition(g: Graph, td: TreeDecomposition, k: int) -> RestrictedP
         subgraphs.append(Subgraph(edge_ids=eids, vertices=verts,
                                   boundary=boundary,
                                   interior=[v for v in verts if v not in bset]))
-    return RestrictedPartition(subgraphs=subgraphs, k=k)
+    return RestrictedPartition(subgraphs=subgraphs)
 
 
 # --- L-infinity nearest neighbor ---
@@ -282,46 +275,31 @@ def restricted_partition(g: Graph, td: TreeDecomposition, k: int) -> RestrictedP
 @dataclass
 class LinfIndex:
     points: np.ndarray
-    backend: str
-    _tree: object = field(default=None, repr=False)
 
 
-def linf_build(points, backend: str = "tree") -> LinfIndex:
-    """Index a list of equal-dimension vectors for exact L-inf queries.
-
-    backend "scan" is the linear reference; "tree" answers through a kd-tree
-    in the Chebyshev metric.  Both return identical (id, distance) pairs,
-    breaking distance ties toward the smallest point id.
-    """
-    if backend not in ("scan", "tree"):
-        raise ValueError(f"unknown backend {backend!r}")
+def linf_build(points) -> LinfIndex:
+    """Index a list of equal-dimension vectors for exact L-inf queries."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
         pts = pts.reshape(0, 0)
     if pts.ndim != 2:
         raise ValueError("points must share one dimension")
-    index = LinfIndex(points=pts, backend=backend)
-    if backend == "tree" and pts.shape[0] > 0:
-        from scipy.spatial import cKDTree
-
-        index._tree = cKDTree(pts)
-    return index
+    return LinfIndex(points=pts)
 
 
 def linf_query(index: LinfIndex, q) -> tuple[int | None, float]:
+    """(id, distance) of the nearest indexed point by one linear scan,
+    breaking distance ties toward the smallest point id; (None, inf) on an
+    empty index."""
     pts = index.points
     if pts.shape[0] == 0:
         return None, INF
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (pts.shape[1],):
         raise ValueError(f"query dimension {q.shape} does not match index {pts.shape[1]}")
-    if index.backend == "scan":
-        dist = np.max(np.abs(pts - q), axis=1)
-        pid = int(np.argmin(dist))
-        return pid, float(dist[pid])
-    d, _ = index._tree.query(q, k=1, p=np.inf)
-    ball = index._tree.query_ball_point(q, r=float(d), p=np.inf)
-    return int(min(ball)), float(d)
+    dist = np.max(np.abs(pts - q), axis=1)
+    pid = int(np.argmin(dist))
+    return pid, float(dist[pid])
 
 
 # --- the main algorithm ---

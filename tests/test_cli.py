@@ -8,6 +8,7 @@ import types
 import numpy as np
 import pytest
 
+import farfirst.cli
 import farfirst.greedy
 import farfirst.oracles
 from farfirst.cli import _point_matrix, main
@@ -219,6 +220,19 @@ def test_eps_whose_level_ratio_rounds_to_one_is_exit_2(files, capsys, argv):
     assert len(err) == 1 and "eps 1e-1" in err[0] and "too small" in err[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["greedy", "--eps", "1e-15", "--bounded-spread"],
+    ["greedy", "--eps", "1e-15"],
+    ["select", "-k", "2", "--eps", "1e-15", "--planar"],
+])
+def test_eps_whose_schedule_exceeds_the_level_cap_is_exit_2(tmp_path, capsys, argv):
+    p = tmp_path / "wide.edg"
+    p.write_text("3 2\n0 1 1\n1 2 1e6\n")
+    assert main(argv + ["--graph", str(p)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: eps 1e-15 is too small: ")
+
+
 @pytest.mark.parametrize("flags", [[], ["--bounded-spread"]])
 @pytest.mark.parametrize("eps", ["0.5", "1e-3"])
 def test_points_at_computed_distance_zero_are_exit_2(tmp_path, capsys, eps, flags):
@@ -259,6 +273,19 @@ def test_point_matrix_is_built_row_by_row():
     assert peak < 4 * n * n * 8
 
 
+def test_exact_verify_on_points_builds_the_matrix_once(files, capsys, monkeypatch):
+    calls = []
+
+    def counting(coords):
+        calls.append(coords.shape)
+        return _point_matrix(coords)
+
+    monkeypatch.setattr(farfirst.cli, "_point_matrix", counting)
+    assert main(["greedy", "--points", files["pts.xy"], "--exact", "--verify"]) == 0
+    assert calls == [(5, 2)]
+    capsys.readouterr()
+
+
 def test_nan_edge_weight_is_exit_2(tmp_path, capsys):
     p = tmp_path / "nan.edg"
     p.write_text("3 2\n0 1 1\n1 2 nan\n")
@@ -295,3 +322,20 @@ def test_internal_invariant_failure_is_exit_3(files, capsys, monkeypatch):
     assert main(["greedy", "--graph", files["path4.edg"], "--exact"]) == 3
     err = capsys.readouterr().err
     assert err == "internal error: vertex 1 left unselected\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["greedy", "--exact", "--graph"], "path4.edg"),
+    (["greedy", "--exact", "--points"], "pts.xy"),
+])
+def test_out_of_memory_is_exit_2_naming_the_input(files, capsys, monkeypatch, argv, name):
+    """Exit 1 means a failed verification, so running out of memory must
+    not reach it through an uncaught traceback."""
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(farfirst.greedy, "exact_greedy", exhausted)
+    monkeypatch.setattr(farfirst.oracles, "brute_greedy", exhausted)
+    assert main(argv + [files[name]]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: out of memory on {files[name]}\n"

@@ -24,9 +24,10 @@ a time min-max tree.
 
 The net digests pin the graph r_net (points, selection deltas, update count
 and the cover field's bytes) at three radii over a seeded order, each on a
-fresh field and as one chain sharing a carried field, on every graph
-instance; the k-center digests pin k_center_integer's centers and radius on
-the integer-weight instances at several k.  They were recorded from the
+fresh field and as one chain of net sweeps sharing a carried field (the
+bounded greedy's level loop, with the covered vertices as its used set), on
+every graph instance; the k-center digests pin k_center_integer's centers
+and radius on the integer-weight instances at several k.  They were recorded from the
 per-element numpy field and the separate truncated relaxation of the
 spread-free greedy.
 
@@ -43,6 +44,7 @@ import pytest
 from farfirst.generators import (delaunay_graph, grid_graph, random_ktree,
                                  random_series_parallel, random_tree)
 from farfirst.graphs import approx_diameter, make_graph
+from farfirst import greedy
 from farfirst.greedy import (approx_greedy, approx_greedy_bounded_spread, k_center_integer,
                              r_net)
 from farfirst.planar import build_hd, count_short_pairs, exact_oracle, select_kth_distance
@@ -180,7 +182,7 @@ def net_digest(instance: str) -> str:
     fresh = [_net_record(r_net(g, r, order=order)) for r in radii]
     fld, carried = np.full(g.n, np.inf), []
     for r in radii:
-        net = r_net(g, r, order=order, used=np.flatnonzero(fld <= r).tolist(), field=fld)
+        net = greedy._net_sweep(g, r, np.asarray(order), fld <= r, fld)
         carried.append(_net_record(net))
     return _sha({"fresh": fresh, "carried": carried})
 

@@ -9,8 +9,7 @@ import scipy.sparse.csgraph as csg
 from farfirst.generators import random_connected_graph
 from farfirst.graphs import (INF, DisjointSets, KruskalTree, approx_diameter,
                              contract_graph, dijkstra, dijkstra_truncated, is_connected,
-                             make_graph, parse_graph, pruned_dijkstra_relax, spread,
-                             write_graph)
+                             make_graph, parse_graph, pruned_dijkstra_relax, write_graph)
 from farfirst.oracles import bellman_ford
 
 from conftest import complete_graph, path_graph
@@ -265,7 +264,7 @@ def test_pruned_relax_dict_adjacency_with_cutoff():
         assert updates >= np.count_nonzero(lowered != s)  # the source's zero is no relaxation
 
 
-# --- diameter, spread, connectivity ---
+# --- diameter, connectivity ---
 
 
 def test_approx_diameter_examples():
@@ -286,20 +285,6 @@ def test_approx_diameter_brackets_true_diameter():
 def test_approx_diameter_disconnected():
     with pytest.raises(ValueError):
         approx_diameter(make_graph(3, [(0, 1, 1.0)]))
-
-
-def test_spread_examples():
-    assert spread(parse_graph("2 1\n0 1 5.0")) == 2.0
-    assert spread(path_graph(4)) == 6.0
-    shortcut = make_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 10.0)])
-    assert spread(shortcut) == 4.0  # 2 * ecc(0) = 4 over min edge weight 1
-
-
-def test_spread_zero_weight_edges_warn():
-    g = make_graph(3, [(0, 1, 0.0), (1, 2, 2.0)])
-    with pytest.warns(UserWarning, match="zero-weight"):
-        val = spread(g)
-    assert val == approx_diameter(g) / 2.0  # min positive weight
 
 
 def test_is_connected():

@@ -1,6 +1,7 @@
 """r-nets, exact and approximate greedy permutations, k-center."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -65,11 +66,6 @@ def test_r_net_huge_radius_selects_first(k3):
         assert net.points == [order[0]]
 
 
-def test_r_net_respects_used_set(path4):
-    net = r_net(path4, 0.25, order=[0, 1, 2, 3], used={1, 3})
-    assert net.points == [0, 2]
-
-
 def test_r_net_guards(path4):
     with pytest.raises(ValueError, match="positive"):
         r_net(path4, 0.0)
@@ -82,30 +78,9 @@ def test_r_net_guards(path4):
 
 def test_r_net_rejects_ids_outside_the_graph():
     g = path_graph(3)
-    for kwargs, bad in (({"order": [-1, 0, 1, 2]}, -1), ({"order": [7]}, 7),
-                        ({"used": [-3]}, -3), ({"used": [0, 3]}, 3)):
+    for order, bad in (([-1, 0, 1, 2], -1), ([7], 7)):
         with pytest.raises(ValueError, match=f"holds {bad}, not a vertex id in 0..2"):
-            r_net(g, 1.0, **kwargs)
-
-
-def test_r_net_rejects_a_field_of_another_length():
-    g = path_graph(3)
-    for n in (2, 5):
-        with pytest.raises(ValueError, match=f"field has {n} entries, graph has 3 vertices"):
-            r_net(g, 1.0, field=np.full(n, INF))
-
-
-def test_r_net_rejects_a_field_it_cannot_lower_in_place():
-    """The field is lowered in place, so an int64 field would truncate the
-    distances it stores (on this path the cover field is [0, 0.5, 0])."""
-    g = make_graph(3, [(0, 1, 0.5), (1, 2, 0.5)])
-    for bad in (np.full(3, 10**9, dtype=np.int64), np.full((3, 1), INF), [INF] * 3):
-        with pytest.raises(ValueError, match="1-D float64 array"):
-            r_net(g, 1.0, field=bad)
-    fld = np.full(3, INF)
-    net = r_net(g, 1.0, field=fld)
-    assert net.cover_field is fld
-    np.testing.assert_array_equal(fld, [0.0, 0.5, 0.0])
+            r_net(g, 1.0, order=order)
 
 
 def _unfiltered_sweep(g, r, order, used, field):
@@ -349,6 +324,32 @@ def test_graph_greedies_reject_an_eps_whose_level_ratio_rounds_to_one(path4, fn,
         fn(path4, eps, seed=1)
 
 
+def test_schedules_too_long_for_the_spread_are_rejected_before_the_loop():
+    """At eps 1e-15 the path 0-1-2 with weights 1 and 1e6 needs about 1e16
+    levels: each schedule is counted from its top and bottom first, so all
+    three raise at once instead of running out of time or memory."""
+    from farfirst.planar import select_kth_distance
+
+    g = make_graph(3, [(0, 1, 1.0), (1, 2, 1e6)])
+    for run in (lambda: approx_greedy_bounded_spread(g, 1e-15, seed=1),
+                lambda: approx_greedy(g, 1e-15, seed=1),
+                lambda: select_kth_distance(g, 2, 1e-15)):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"eps 1e-15 is too small: .* needs about \S+ levels"):
+            run()
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_level_cap_admits_a_wide_spread_at_moderate_eps():
+    """Weights 1e-300 and 1e300 at eps 0.5 (about 9k levels for the
+    spread-free greedy, though the ratio of top to bottom overflows) stay
+    under the cap and verify."""
+    g = make_graph(3, [(0, 1, 1e-300), (1, 2, 1e300)])
+    for fn in (approx_greedy, approx_greedy_bounded_spread):
+        perm = fn(g, 0.5, seed=1)
+        assert verify_eps_greedy(apsp_exact(g), perm, 0.5).ok
+
+
 def test_bounded_spread_guards(path4):
     with pytest.raises(ValueError):
         approx_greedy_bounded_spread(path4, 0.0, seed=1)
@@ -436,7 +437,7 @@ def test_approx_greedy_unit_weights_never_skips():
     """With unit weights every edge is active at every level, so the active
     counter is uniform and equals the full internal schedule length."""
     rng = np.random.default_rng(18)
-    g = random_connected_graph(30, 60, rng, w_lo=1, w_hi=1)
+    g = random_connected_graph(30, 60, rng, w_hi=1)
     eps = 0.9
     perm = approx_greedy(g, eps, seed=5)
     counts = perm.active_level_counts
@@ -490,7 +491,7 @@ def test_k_center_two_approx_exhaustive():
     rng = np.random.default_rng(20)
     for _ in range(6):
         n = int(rng.integers(3, 11))
-        g = random_connected_graph(n, int(rng.integers(n - 1, 2 * n)), rng, w_lo=1, w_hi=9)
+        g = random_connected_graph(n, int(rng.integers(n - 1, 2 * n)), rng, w_hi=9)
         dm = apsp_exact(g)
         for k in range(1, n + 1):
             centers, radius = k_center_integer(g, k, seed=int(rng.integers(2**32)))
@@ -529,7 +530,7 @@ def test_prefix_k_center_full_prefix():
 
 def test_prefix_k_center_simultaneous_guarantee():
     rng = np.random.default_rng(21)
-    g = random_connected_graph(12, 30, rng, w_lo=1, w_hi=9)
+    g = random_connected_graph(12, 30, rng, w_hi=9)
     dm = apsp_exact(g)
     eps = 0.5
     perm = approx_greedy_bounded_spread(g, eps, seed=4)

@@ -162,16 +162,6 @@ def test_linf_empty_index():
     assert pid is None and dist == math.inf
 
 
-def test_linf_tree_matches_scan():
-    rng = np.random.default_rng(3)
-    pts = rng.normal(size=(200, 5))
-    tree = linf_build(pts, backend="tree")
-    scan = linf_build(pts, backend="scan")
-    for _ in range(100):
-        q = rng.normal(size=5)
-        assert linf_query(tree, q) == linf_query(scan, q)
-
-
 def test_linf_tie_breaks_to_smallest_id():
     idx = linf_build([[0.0], [2.0]])
     pid, dist = linf_query(idx, [1.0])
