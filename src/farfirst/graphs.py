@@ -5,7 +5,7 @@ builder and return one float64 distance per vertex.  The pruned relaxation
 is the Python heap loop shared by every net sweep and the spread-free
 greedy's truncated distances, because its pruning is what the sweep's
 amortisation counts; the planar pair tables run their own labelled heap
-(planar._pair_tables).  The headed text formats (edge lists, points,
+(planar._patches).  The headed text formats (edge lists, points,
 decompositions) all split their header and rows with _headed.
 """
 

@@ -160,7 +160,8 @@ def build_hd(g: Graph) -> HierarchicalDecomposition:
 
 class DistanceOracle:
     """Interface: query(u, v) in [d(u, v), (1 + eps) d(u, v)]; block(us, vs)
-    is the len(us) x len(vs) matrix of the same values."""
+    is the len(us) x len(vs) matrix of the same values, and pairs(us, vs)
+    the vector of query(us[i], vs[i]) for two equal-length id arrays."""
 
     eps: float = 0.0
 
@@ -174,12 +175,16 @@ class DistanceOracle:
                 out[i, j] = self.query(int(u), int(v))
         return out
 
+    def pairs(self, us, vs) -> np.ndarray:
+        return np.array([self.query(int(u), int(v)) for u, v in zip(us, vs)],
+                        dtype=np.float64)
+
 
 class _ExactOracle(DistanceOracle):
     """Full single-source rows, kept: row _slot[u] of _rows is the row of
-    source u (_slot[u] is -1 until some block asks for it).  One matrix, so
-    a block is one gather: select_kth_distance asks for a block per patch
-    in every count of its search."""
+    source u (_slot[u] is -1 until some lookup asks for it).  One matrix, so
+    a block or a vector of pairs is one gather: every count of a selection
+    asks for the pairs of all its patches at once."""
 
     eps = 0.0
 
@@ -192,13 +197,23 @@ class _ExactOracle(DistanceOracle):
         return float(self.block([u], [v])[0, 0])
 
     def block(self, us, vs) -> np.ndarray:
+        slot = self._slots(us)  # first: it may replace _rows
+        return self._rows[slot[:, None], np.asarray(vs, dtype=np.int64)]
+
+    def pairs(self, us, vs) -> np.ndarray:
+        slot = self._slots(us)
+        return self._rows[slot, np.asarray(vs, dtype=np.int64)]
+
+    def _slots(self, us) -> np.ndarray:
+        """Indices into _rows of the sources us, computing the rows of the
+        missing ones in one search."""
         # looked up on the module at call time, as in greedy.exact_greedy, so
         # a tracer that wraps csgraph.dijkstra sees the call
         import scipy.sparse.csgraph as csg
 
         us = np.asarray(us, dtype=np.int64)
         slot = self._slot[us]
-        if -1 in slot.tolist():  # on a patch's few rows, cheaper than slot.min()
+        if slot.min(initial=0) < 0:
             missing = np.unique(us[slot < 0])
             new = csg.dijkstra(self._g.csr(), indices=missing)
             used = len(self._rows)
@@ -206,48 +221,71 @@ class _ExactOracle(DistanceOracle):
             self._rows = np.concatenate([self._rows, new]) if used else new
             self._slot[missing] = np.arange(used, used + len(missing))
             slot = self._slot[us]
-        return self._rows[slot[:, None], np.asarray(vs, dtype=np.int64)]
+        return slot
 
 
 def exact_oracle(g: Graph) -> DistanceOracle:
     """Exact oracle (valid for every eps >= 0): full single-source rows,
-    computed by one scipy call per block for the sources not yet seen, and
+    computed by one scipy call per lookup for the sources not yet seen, and
     kept."""
     if not is_connected(g):
         raise ValueError("graph must be connected")
     return _ExactOracle(g)
 
 
+# (side-1 distance, side-2 owner) queries per searchsorted pass of
+# count_short_pairs: caps its per-query temporaries near 256 KiB
+_PAIR_CHUNK = 1 << 12
+
+
 @dataclass
 class _Patch:
-    """Radius-independent counting tables of one internal patch.
+    """Counting groups of one internal patch with vertices on both sides.
 
     groups[(side, b)] holds the sorted within-patch distances of the
-    vertices on that side assigned to boundary vertex b.  b1 and b2 are the
-    boundary vertices that own a side-1 and a side-2 group.  x1 concatenates
-    the side-1 groups in b1 order, and own[i] is the index into b1 of x1[i].
+    vertices on that side assigned to boundary vertex b.  b1 and b2 list,
+    in id order, the boundary vertices that own a side-1 and a side-2 group.
     """
 
     groups: dict[tuple[int, int], np.ndarray]
-    b1: np.ndarray
-    b2: np.ndarray
-    x1: np.ndarray
-    own: np.ndarray
+    b1: list[int]
+    b2: list[int]
 
 
 @dataclass
 class _PairTables:
-    sources: np.ndarray  # every b1 of every patch, once
-    patches: list[_Patch]
+    """Radius-independent counting tables of a decomposition, flat over all
+    its two-sided patches (see _Patch), in patch order.
+
+    A cell is one (b1, b2) pair of a patch, b1-major: cell_u and cell_v are
+    its two boundary vertices, so one oracle lookup serves every cell.  A
+    segment is one side-2 group, in (patch, b2) order; keys holds the
+    groups' sorted distances as segment number + 1j * distance, which numpy
+    orders segment first, so one searchsorted looks up every segment at
+    once.  x1 holds the side-1 groups in (patch, b1) order.  A query is one
+    (x1 entry, side-2 owner of its patch) pair: x1[t] has width[t] of them,
+    numbered qend[t] - width[t] up to qend[t], and query q reads cell
+    cell[t] + q and segment seg[t] + q.  below is the number of keys before
+    each query's segment, summed over all queries.  Every array is the size
+    of the patches or of the cells, never of the queries.
+    """
+
+    cell_u: np.ndarray
+    cell_v: np.ndarray
+    keys: np.ndarray
+    x1: np.ndarray
+    width: np.ndarray
+    qend: np.ndarray
+    cell: np.ndarray
+    seg: np.ndarray
+    below: int
 
 
-def _pair_tables(g: Graph, hd: HierarchicalDecomposition) -> _PairTables:
-    """Per internal patch with groups on both sides: keyed by (side,
-    boundary id), the sorted within-patch distances of the vertices assigned
-    to that boundary vertex, in the layout count_short_pairs scans (see
-    _Patch).  Assignment = nearest boundary vertex in G[patch] by a labeled
-    multi-source Dijkstra, ties to the smaller vertex id.  Radius-independent,
-    computed once per decomposition.
+def _patches(g: Graph, hd: HierarchicalDecomposition) -> list[_Patch]:
+    """The internal patches with groups on both sides, in node order.
+
+    Assignment = nearest boundary vertex in G[patch] by a labeled
+    multi-source Dijkstra, ties to the smaller vertex id.
     """
     adj = g.adjacency()
     found = []
@@ -282,26 +320,58 @@ def _pair_tables(g: Graph, hd: HierarchicalDecomposition) -> _PairTables:
         b1 = [b for b in border if (1, b) in groups]
         b2 = [b for b in border if (2, b) in groups]
         if b1 and b2:
-            found.append((groups, b1, b2))
-    sources = np.unique(np.asarray([b for f in found for b in f[1]], dtype=np.int64))
-    patches = []
-    for groups, b1, b2 in found:
-        x1 = [groups[(1, b)] for b in b1]
-        patches.append(_Patch(
-            groups=groups, b1=np.asarray(b1, dtype=np.int64), b2=np.asarray(b2, dtype=np.int64),
-            x1=np.concatenate(x1), own=np.repeat(np.arange(len(b1)), [len(x) for x in x1])))
-    return _PairTables(sources=sources, patches=patches)
+            found.append(_Patch(groups=groups, b1=b1, b2=b2))
+    return found
+
+
+def _pair_tables(g: Graph, hd: HierarchicalDecomposition) -> _PairTables:
+    """The flat counting tables of hd (see _PairTables), computed once per
+    decomposition."""
+    ys, xs, x_cell, x_seg, x_width, cell_u, cell_v = [], [], [], [], [], [], []
+    cells = segs = 0
+    for p in _patches(g, hd):
+        ys += [p.groups[(2, b)] for b in p.b2]
+        for i, a in enumerate(p.b1):
+            xs.append(p.groups[(1, a)])
+            x_cell.append(cells + i * len(p.b2))
+            x_seg.append(segs)
+            x_width.append(len(p.b2))
+        cell_u.append(np.repeat(p.b1, len(p.b2)))
+        cell_v.append(np.tile(p.b2, len(p.b1)))
+        cells += len(p.b1) * len(p.b2)
+        segs += len(p.b2)
+    y_len = np.array([len(y) for y in ys], dtype=np.int64)
+    x_len = np.array([len(x) for x in xs], dtype=np.int64)
+    keys = np.empty(int(y_len.sum()), dtype=np.complex128)
+    keys.real = np.repeat(np.arange(segs), y_len)
+    keys.imag = np.concatenate([np.empty(0), *ys])
+    # keys before each segment, and their running sum over the segments
+    before = np.concatenate([[0], np.cumsum(np.cumsum(y_len) - y_len)])
+    x_seg, x_width = np.array(x_seg, dtype=np.int64), np.array(x_width, dtype=np.int64)
+    width = np.repeat(x_width, x_len)
+    qend = np.cumsum(width)
+    return _PairTables(
+        cell_u=np.concatenate([np.empty(0, dtype=np.int64), *cell_u]),
+        cell_v=np.concatenate([np.empty(0, dtype=np.int64), *cell_v]), keys=keys,
+        x1=np.concatenate([np.empty(0), *xs]), width=width, qend=qend,
+        cell=np.repeat(np.array(x_cell, dtype=np.int64), x_len) - (qend - width),
+        seg=np.repeat(x_seg, x_len) - (qend - width),
+        below=int((x_len * (before[x_seg + x_width] - before[x_seg])).sum()))
 
 
 def count_short_pairs(g: Graph, hd: HierarchicalDecomposition, r: float,
                       eps: float, oracle: DistanceOracle) -> int:
     """Integer alpha with |P_<=r| <= alpha <= |P_<=(3+eps) r|.
 
-    Per patch, cap = 3r - oracle / (1 + eps_o) over its b1 x b2 block (the
-    exact oracle first finds the rows of every patch in one search), and for
-    each side-2 owner b one searchsorted counts the side-2 distances of b
-    within cap[own, b] - x1 of every side-1 vertex.  A negative cap counts
-    nothing, since distances are >= 0.
+    One oracle lookup gives every cell of every patch (see _PairTables) its
+    cap = 3r - oracle / (1 + eps_o).  A pair (x, y) counts when y <= cap -
+    x for the cell of x's and y's owners, so one searchsorted over the
+    segment-tagged keys counts, for every (side-1 vertex, side-2 owner)
+    query, the side-2 distances of that owner within the vertex's
+    threshold.  The queries are expanded and looked up _PAIR_CHUNK at a
+    time, so the temporaries never grow with the number of queries.  A
+    negative cap counts nothing, since distances are >= 0; an oracle answer
+    of NaN raises ValueError.
     """
     _check_positive("r", r)
     _check_positive("eps", eps)
@@ -313,13 +383,22 @@ def count_short_pairs(g: Graph, hd: HierarchicalDecomposition, r: float,
         hd._pair_cache = _pair_tables(g, hd)
     tables = hd._pair_cache
     scale = 1.0 + oracle.eps
-    oracle.block(tables.sources, ())  # no columns: only fills the row cache
-    alpha = 0
-    for p in tables.patches:
-        cap = 3.0 * r - oracle.block(p.b1, p.b2) / scale
-        for j, b in enumerate(p.b2.tolist()):
-            alpha += int(np.searchsorted(p.groups[(2, b)], cap[p.own, j] - p.x1,
-                                         side="right").sum())
+    cap = 3.0 * r - oracle.pairs(tables.cell_u, tables.cell_v) / scale
+    if np.isnan(cap).any():  # a NaN key would sort past its segment's end
+        raise ValueError("the distance oracle returned NaN")
+    qend = tables.qend
+    alpha = -tables.below
+    lo = q0 = 0
+    while lo < len(qend):  # x1 entries lo..hi-1, queries q0..q1-1
+        hi = max(lo + 1, int(np.searchsorted(qend, q0 + _PAIR_CHUNK, side="right")))
+        q1 = int(qend[hi - 1])
+        q = np.arange(q0, q1)
+        t = np.repeat(np.arange(lo, hi), tables.width[lo:hi])
+        key = np.empty(q1 - q0, dtype=np.complex128)
+        key.real = tables.seg[t] + q
+        key.imag = cap[tables.cell[t] + q] - tables.x1[t]
+        alpha += int(np.searchsorted(tables.keys, key, side="right").sum())
+        lo, q0 = hi, q1
     return alpha
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DisjointSets, Graph, _csr, _headed, read_input
-from .greedy import GreedyPermutation, Net, _check_positive, _check_ratio
+from .greedy import MAX_LEVELS, GreedyPermutation, Net, _check_positive, _check_ratio
 
 __all__ = [
     "PointSet",
@@ -347,6 +347,16 @@ def ann_build(pts, c: float, seed: int, ids=None) -> AnnIndex:
         gamma = (1.0 + c) / 2.0
         # with every distance 0 no rung is built: each query scans linearly
         deltas = [d_lo] if d_hi > 0.0 else []
+        # the rung count, ceil(log(d_hi / d_lo) / log gamma) + 1, is checked
+        # before the loop: a c just above 1 would append rungs until memory
+        # runs out (the logs are taken apart, as in greedy._check_levels)
+        if deltas and d_hi > d_lo:
+            steps = ((math.log(d_hi) - math.log(d_lo)) / math.log(gamma)
+                     if gamma > 1.0 else math.inf)
+            if steps + 1.0 > MAX_LEVELS:
+                raise ValueError(f"c {c!r} is too close to 1: the ANN ladder from {d_lo!r} "
+                                 f"to {d_hi!r} needs about {steps + 1.0:.3g} rungs, "
+                                 f"over {MAX_LEVELS}")
         while deltas and deltas[-1] < d_hi:
             deltas.append(deltas[-1] * gamma)
     rungs = _Ladder(sub, deltas, c, np.random.default_rng(seed))

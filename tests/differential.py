@@ -4,7 +4,9 @@
 
 prints one line "<lane> <runs> <sha256>" for each of the graph greedies,
 graph nets and k-center, the Euclidean lane, planar counting and selection,
-and the treewidth greedy.  Every input is written in its text format and
+the treewidth greedy, and planar counting on wider inputs (real and zero
+weights, trees, series-parallel graphs, 300 vertices, an oracle with
+eps > 0).  Every input is written in its text format and
 read back through the library's parser, so the readers are covered too.
 Running the command against two checkouts and comparing the lines shows
 whether a change kept every output byte for byte.  Only public functions
@@ -24,7 +26,9 @@ from farfirst.generators import (delaunay_graph, grid_graph, random_connected_gr
 from farfirst.graphs import make_graph, parse_graph
 from farfirst.greedy import (approx_greedy, approx_greedy_bounded_spread, exact_greedy,
                              k_center_integer, r_net)
-from farfirst.planar import build_hd, count_short_pairs, exact_oracle, select_kth_distance
+from farfirst.oracles import apsp_exact
+from farfirst.planar import (DistanceOracle, build_hd, count_short_pairs, exact_oracle,
+                             select_kth_distance)
 from farfirst.points import (approx_greedy_points, approx_greedy_points_bounded_spread,
                              approx_minmax_tree, approx_r_net_points, parse_points)
 from farfirst.treewidth import exact_greedy_treewidth, parse_tree_decomposition
@@ -161,6 +165,52 @@ def lane_planar():
     return runs
 
 
+class _StretchedOracle(DistanceOracle):
+    """Query-only oracle with eps 0.1: the exact distance times a factor in
+    [1, 1.1] fixed by the pair, so counts use the default lookups and a
+    scale other than 1."""
+
+    eps = 0.1
+
+    def __init__(self, g):
+        self.dm = apsp_exact(g)
+
+    def query(self, u, v):
+        return float(self.dm[u, v]) * (1.0 + self.eps * ((u + 2 * v) % 5) / 4.0)
+
+
+def _reweighted(g, weight):
+    return make_graph(g.n, [(u, v, weight(w)) for u, v, w in g.edges])
+
+
+def lane_planar_wide():
+    """Planar counting on real and zero weights, trees, series-parallel
+    graphs and a 300-vertex Delaunay graph, through the exact oracle and a
+    query-only oracle with eps > 0."""
+    runs = []
+    rng = np.random.default_rng(18)
+    zero_some = lambda w: w if rng.random() < 0.6 else 0.0  # noqa: E731
+    graphs = [("real_grid", _reweighted(grid_graph(6, 8), lambda w: float(rng.uniform(0.1, 3.0)))),
+              ("zero_tree", _reweighted(random_tree(40, rng)[0], zero_some)),
+              ("zero_sp", _reweighted(random_series_parallel(40, rng)[0], zero_some)),
+              ("delaunay300", delaunay_graph(300, rng))]
+    for name, g in graphs:
+        g = _reread(g)
+        hd = build_hd(g)
+        top = sum(w for _, _, w in g.edges)
+        # whole radii put caps exactly on distances of the integer-weight graphs
+        radii = [x for frac in (1e-4, 0.002, 0.02, 0.1, 0.4)
+                 for x in (frac * top, round(frac * top)) if x > 0]
+        for oracle, eps in ((exact_oracle(g), 0.3), (_StretchedOracle(g), 0.5)):
+            for r in radii:
+                runs.append([name, oracle.eps, eps, r, count_short_pairs(g, hd, r, eps, oracle)])
+        npairs = g.n * (g.n - 1) // 2
+        for k in sorted({1, g.n, npairs // 40, npairs}):
+            alpha, factor = select_kth_distance(g, k, 0.5)
+            runs.append([name, k, float(alpha).hex(), float(factor).hex()])
+    return runs
+
+
 def lane_treewidth():
     runs = []
     for seed in range(16):
@@ -176,7 +226,8 @@ def lane_treewidth():
 
 
 LANES = {"graph_greedy": lane_graph_greedy, "net_kcenter": lane_net_kcenter,
-         "points": lane_points, "planar": lane_planar, "treewidth": lane_treewidth}
+         "points": lane_points, "planar": lane_planar, "treewidth": lane_treewidth,
+         "planar_wide": lane_planar_wide}
 
 
 def main() -> None:

@@ -233,6 +233,14 @@ def test_eps_whose_schedule_exceeds_the_level_cap_is_exit_2(tmp_path, capsys, ar
     assert len(err) == 1 and err[0].startswith("error: eps 1e-15 is too small: ")
 
 
+def test_ann_ladder_over_the_level_cap_is_exit_2(tmp_path, capsys):
+    p = tmp_path / "wide.xy"
+    p.write_text("8 1\n0\n1\n2.5\n7\n1e6\n2000003\n3000011\n5000001\n")
+    assert main(["greedy", "--eps", "4e-15", "--points", str(p)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: c 1.000000000000004 is too close to 1: ")
+
+
 @pytest.mark.parametrize("flags", [[], ["--bounded-spread"]])
 @pytest.mark.parametrize("eps", ["0.5", "1e-3"])
 def test_points_at_computed_distance_zero_are_exit_2(tmp_path, capsys, eps, flags):

@@ -2,15 +2,17 @@
 selection for declared-planar inputs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from farfirst.generators import delaunay_graph, grid_graph
+from farfirst.generators import (delaunay_graph, grid_graph, random_series_parallel,
+                                 random_tree)
 from farfirst.graphs import make_graph
 from farfirst.oracles import apsp_exact, exact_count, exact_select
-from farfirst.planar import (DistanceOracle, _pair_tables, build_hd, count_short_pairs,
-                             exact_oracle, select_kth_distance)
+from farfirst.planar import (DistanceOracle, HDNode, HierarchicalDecomposition, _patches,
+                             build_hd, count_short_pairs, exact_oracle, select_kth_distance)
 
 from conftest import complete_graph, path_graph
 
@@ -120,6 +122,23 @@ def test_exact_oracle_block_matches_apsp_and_default_block():
     assert np.array_equal(ByQuery().block(us, vs), dm[np.ix_(us, vs)])
 
 
+def test_exact_oracle_pairs_match_apsp_and_default_pairs():
+    rng = np.random.default_rng(6)
+    g = delaunay_graph(40, rng)
+    dm = apsp_exact(g)
+    orc = exact_oracle(g)
+    us, vs = np.array([5, 0, 5, 17, 39]), np.array([3, 3, 39, 0, 5])
+    assert np.array_equal(orc.pairs(us, vs), dm[us, vs])
+    assert orc.pairs([], []).shape == (0,)
+
+    class ByQuery(DistanceOracle):
+        def query(self, u, v):
+            return float(dm[u, v])
+
+    assert np.array_equal(ByQuery().pairs(us, vs), dm[us, vs])
+    assert ByQuery().pairs([], []).dtype == np.float64
+
+
 # --- counting ---
 
 
@@ -128,7 +147,7 @@ def _count_per_pair(g, hd, r, eps, oracle):
     (side-1 owner, side-2 owner) pair of every patch."""
     scale = 1.0 + oracle.eps
     alpha = 0
-    for p in _pair_tables(g, hd).patches:
+    for p in _patches(g, hd):
         for (side1, a), g1 in p.groups.items():
             for (side2, b), g2 in p.groups.items():
                 if (side1, side2) != (1, 2):
@@ -138,6 +157,26 @@ def _count_per_pair(g, hd, r, eps, oracle):
                     continue
                 alpha += int(np.searchsorted(g2, cap - g1, side="right").sum())
     return alpha
+
+
+def _owner_thresholds(g, hd, r, oracle):
+    """(side-2 group, threshold of every side-1 vertex) per patch and side-2
+    owner, computed as the per-patch loop of count_short_pairs did before its
+    flat layout: one oracle block per patch, cap = 3r - block / (1 + eps_o),
+    and the thresholds cap[own, j] - x1."""
+    scale = 1.0 + oracle.eps
+    for p in _patches(g, hd):
+        x1 = np.concatenate([p.groups[(1, b)] for b in p.b1])
+        own = np.repeat(np.arange(len(p.b1)), [len(p.groups[(1, b)]) for b in p.b1])
+        cap = 3.0 * r - oracle.block(p.b1, p.b2) / scale
+        for j, b in enumerate(p.b2):
+            yield p.groups[(2, b)], cap[own, j] - x1
+
+
+def _count_per_patch(g, hd, r, oracle):
+    """Reference count: the per-patch loop, one searchsorted per side-2 owner."""
+    return sum(int(np.searchsorted(y, thr, side="right").sum())
+               for y, thr in _owner_thresholds(g, hd, r, oracle))
 
 
 def test_count_equals_per_pair_reference():
@@ -155,6 +194,125 @@ def test_count_equals_per_pair_reference():
             for r in radii:
                 assert count_short_pairs(g, hd, r, eps, orc) == \
                     _count_per_pair(g, hd, r, eps, orc), (g.n, r, eps)
+
+
+def _with_weights(g, weight):
+    return make_graph(g.n, [(u, v, weight(w)) for u, v, w in g.edges])
+
+
+class _StretchedByQuery(DistanceOracle):
+    """Query-only oracle with eps > 0: every answer is within 1 + eps of the
+    exact distance, so counts go through the default pairs lookup and a
+    scale other than 1."""
+
+    eps = 0.1
+
+    def __init__(self, g):
+        self.dm = apsp_exact(g)
+
+    def query(self, u, v):
+        return float(self.dm[u, v]) * (1.0 + self.eps * ((u + 2 * v) % 5) / 4.0)
+
+
+def _equivalence_instances():
+    rng = np.random.default_rng(12)
+    zero_some = lambda w: w if rng.random() < 0.6 else 0.0  # noqa: E731
+    return [("delaunay60", delaunay_graph(60, rng)),
+            ("delaunay150", delaunay_graph(150, rng)),
+            ("real_grid", _with_weights(grid_graph(7, 9), lambda w: float(rng.uniform(0.1, 3.0)))),
+            ("zero_tree", _with_weights(random_tree(50, rng)[0], zero_some)),
+            ("zero_sp", _with_weights(random_series_parallel(50, rng)[0], zero_some))]
+
+
+EQUIVALENCE = _equivalence_instances()
+
+
+@pytest.mark.parametrize("name, g", EQUIVALENCE, ids=[name for name, _ in EQUIVALENCE])
+def test_count_equals_the_per_patch_loop(name, g):
+    hd = build_hd(g)
+    top = apsp_exact(g).max()
+    integer = all(w == int(w) for _, _, w in g.edges)
+    # on integer weights, whole radii put caps exactly on side-2 distances
+    radii = [round(frac * top) if integer else frac * top
+             for frac in (0.001, 0.01, 0.05, 0.13, 0.3, 0.7, 1.5)]
+    radii = [r for r in radii if r > 0]
+    ties = 0
+    for oracle, eps in ((exact_oracle(g), 0.1), (exact_oracle(g), 1.0),
+                        (_StretchedByQuery(g), 0.5)):
+        for r in radii:
+            assert count_short_pairs(g, hd, r, eps, oracle) == \
+                _count_per_patch(g, hd, r, oracle), (name, r, eps)
+            ties += sum(int(np.isin(thr, y).sum())
+                        for y, thr in _owner_thresholds(g, hd, r, oracle))
+    if integer:
+        assert ties > 0  # the side="right" tie is exercised
+
+
+def test_count_is_zero_when_every_cap_is_negative():
+    g = delaunay_graph(80, np.random.default_rng(13))
+    hd = build_hd(g)
+    r = g.min_weight() / 10.0  # 3r is below every distance between two vertices
+    for oracle, eps in ((exact_oracle(g), 0.5), (_StretchedByQuery(g), 0.5)):
+        scale = 1.0 + oracle.eps
+        for p in _patches(g, hd):
+            assert (3.0 * r - oracle.block(p.b1, p.b2) / scale < 0.0).all()
+        assert count_short_pairs(g, hd, r, eps, oracle) == _count_per_patch(g, hd, r, oracle) == 0
+
+
+def test_count_without_a_two_sided_patch_is_zero():
+    one = make_graph(1, [])
+    assert count_short_pairs(one, build_hd(one), 1.0, 0.5, exact_oracle(one)) == 0
+    # a hand-made decomposition whose children record no boundary: no patch
+    # has a group on either side, so the tables are empty
+    g = path_graph(3)
+    hd = HierarchicalDecomposition(nodes=[
+        HDNode(patch=[0, 1, 2], boundary=[], children=(1, 2)),
+        HDNode(patch=[0], boundary=[], children=None),
+        HDNode(patch=[1, 2], boundary=[], children=(3, 4)),
+        HDNode(patch=[1], boundary=[], children=None),
+        HDNode(patch=[2], boundary=[], children=None)])
+    assert _patches(g, hd) == []
+    for oracle in (exact_oracle(g), _StretchedByQuery(g)):
+        assert count_short_pairs(g, hd, 5.0, 0.5, oracle) == 0
+
+
+def test_count_rejects_an_oracle_that_returns_nan():
+    g = delaunay_graph(40, np.random.default_rng(3))
+    dm = apsp_exact(g)
+
+    class NanSome(DistanceOracle):
+        def query(self, u, v):
+            return math.nan if (u + v) % 7 == 0 else float(dm[u, v])
+
+    with pytest.raises(ValueError, match="returned NaN"):
+        count_short_pairs(g, build_hd(g), 100.0, 0.5, NanSome())
+
+
+def test_count_memory_is_bounded_by_the_chunk_not_the_queries():
+    g = delaunay_graph(1000, np.random.default_rng(1507))
+    hd = build_hd(g)
+    oracle = exact_oracle(g)
+    count_short_pairs(g, hd, 200.0, 0.5, oracle)  # builds the tables and the oracle rows
+    tables = hd._pair_cache
+    queries = int(tables.qend[-1])
+    assert queries > 150_000
+    tracemalloc.start()
+    try:
+        count_short_pairs(g, hd, 200.0, 0.5, oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a chunked count peaks near 1.2 MiB here, most of it the cells' caps; one
+    # complex128 array of every query alone is 2.7 MiB, and a count that
+    # expands all queries at once peaks near 9 MiB
+    assert peak < 3 * 2**20, peak
+    # the cached tables are the size of the cells or of the patches, not of
+    # the queries
+    cells = tables.cell_u.size
+    patch_total = sum(len(nd.patch) for nd in hd.nodes)
+    sizes = [a.size for a in vars(tables).values() if isinstance(a, np.ndarray)]
+    assert sizes and all(size == cells or size <= patch_total for size in sizes)
+    assert max(cells, patch_total) < queries / 2
 
 
 def test_count_triangle_degenerate_sandwich():

@@ -510,6 +510,24 @@ def test_points_reject_an_eps_whose_level_ratio_rounds_to_one(fn, eps):
         fn(pts, *args, seed=0)
 
 
+# eight points on a line whose distances span 1 to 5e6
+WIDE_LINE = "8 1\n0\n1\n2.5\n7\n1e6\n2000003\n3000011\n5000001\n"
+
+
+def test_ann_ladder_over_the_level_cap_is_rejected_before_it_is_built():
+    """At eps 1e-15 the ladder ratio (1 + c) / 2 = 1 + eps/2 needs about 3e16
+    rungs to span these points; ann_build counts them first and raises."""
+    pts = parse_points(WIDE_LINE)
+    with pytest.raises(ValueError, match=r"^c 1\.0+1 is too close to 1: the ANN ladder "
+                                         r"from .* needs about .* rungs, over 1000000$"):
+        approx_minmax_tree(pts, 1e-15, seed=0)
+    with pytest.raises(ValueError, match="too close to 1"):
+        ann_build(pts, 1.0 + 1e-15, seed=0)
+    with pytest.raises(ValueError, match="too close to 1"):
+        ann_build(pts, 1.0 + 2.0**-52, seed=0)  # (1 + c) / 2 rounds to 1
+    assert len(ann_build(pts, 1.0 + 1e-4, seed=0).rungs) > 100_000  # under the cap
+
+
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
 def test_bounded_greedy_mask_equals_marking_by_each_selection(scale):
     """The bounded variant marks a level's candidates with to_sel <= c*r.
