@@ -93,16 +93,19 @@ def _check_ratio(eps: float, ratio: float) -> None:
         raise ValueError(f"eps {eps!r} is too small: its level ratio rounds to 1")
 
 
+def _level_count(ratio: float, top: float, bottom: float) -> float:
+    """Levels from top to below bottom, before the ceil; inf for a ratio <= 1.
+    The logs are taken apart, so a top / bottom that overflows still counts."""
+    return (math.log(top) - math.log(bottom)) / math.log(ratio) + 1.0 if ratio > 1.0 else math.inf
+
+
 def _check_levels(eps: float, ratio: float, top: float, bottom: float) -> None:
-    """Reject an eps whose schedule, shrinking by ratio from top to below
-    bottom, never shrinks or takes more than MAX_LEVELS levels, that is
-    ceil(log(top / bottom) / log(ratio)) + 1.  Checked before the loop, so
-    such an eps fails at once and not after a run out of time or memory.
-    The logs are taken apart, so a top / bottom that overflows still counts.
-    """
+    """Reject an eps whose schedule from top to below bottom never shrinks or
+    takes more than MAX_LEVELS levels, before the loop, so that such an eps
+    fails at once and not after a run out of time or memory."""
     _check_ratio(eps, ratio)
-    levels = (math.log(top) - math.log(bottom)) / math.log(ratio) + 1.0
-    if levels > MAX_LEVELS:  # for an integer cap, the same test as on the ceil
+    levels = _level_count(ratio, top, bottom)
+    if levels > MAX_LEVELS:
         raise ValueError(f"eps {eps!r} is too small: its schedule from {top!r} down to "
                          f"{bottom!r} needs about {levels:.3g} levels, over {MAX_LEVELS}")
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DisjointSets, Graph, _csr, _headed, read_input
-from .greedy import MAX_LEVELS, GreedyPermutation, Net, _check_positive, _check_ratio
+from .graphs import DisjointSets, Graph, KruskalTree, _headed, read_input
+from .greedy import MAX_LEVELS, GreedyPermutation, Net, _check_positive, _check_ratio, _level_count
 
 __all__ = [
     "PointSet",
@@ -268,6 +268,16 @@ def _lsh_net_sweep(coords: np.ndarray, ids, r: float, c: float,
     return selected
 
 
+def _select(coords: np.ndarray, to_sel: np.ndarray, v: int, emitted, order) -> float:
+    """Append point v to order, mark it emitted and lower to_sel (distances to
+    the selection) by v's row norms in place; return v's distance before."""
+    d = float(to_sel[v])
+    order.append(v)
+    emitted[v] = True
+    np.minimum(to_sel, np.linalg.norm(coords - coords[v], axis=1), out=to_sel)
+    return d
+
+
 def approx_r_net_points(pts: PointSet, r: float, eps: float, seed: int) -> Net:
     """Approximate r-net: covering within (1+eps)*r is deterministic (the
     marking rule only ever marks within that radius); packing >= r holds with
@@ -280,8 +290,9 @@ def approx_r_net_points(pts: PointSet, r: float, eps: float, seed: int) -> Net:
     rng = np.random.default_rng(seed)
     selected = _lsh_net_sweep(pts.coords, range(pts.n), r, 1.0 + eps, rng)
     # each selection's distance to the ones before it
-    deltas = [float(np.min(np.linalg.norm(pts.coords[selected[:i]] - pts.coords[x], axis=1)))
-              if i else float("inf") for i, x in enumerate(selected)]
+    sub, k = pts.coords[selected], len(selected)
+    to_sel, emitted, order = np.full(k, np.inf), np.zeros(k, dtype=bool), []
+    deltas = [_select(sub, to_sel, i, emitted, order) for i in range(k)]
     return Net(points=selected, r=r, cover_field=None, selection_deltas=deltas)
 
 
@@ -347,16 +358,11 @@ def ann_build(pts, c: float, seed: int, ids=None) -> AnnIndex:
         gamma = (1.0 + c) / 2.0
         # with every distance 0 no rung is built: each query scans linearly
         deltas = [d_lo] if d_hi > 0.0 else []
-        # the rung count, ceil(log(d_hi / d_lo) / log gamma) + 1, is checked
-        # before the loop: a c just above 1 would append rungs until memory
-        # runs out (the logs are taken apart, as in greedy._check_levels)
-        if deltas and d_hi > d_lo:
-            steps = ((math.log(d_hi) - math.log(d_lo)) / math.log(gamma)
-                     if gamma > 1.0 else math.inf)
-            if steps + 1.0 > MAX_LEVELS:
-                raise ValueError(f"c {c!r} is too close to 1: the ANN ladder from {d_lo!r} "
-                                 f"to {d_hi!r} needs about {steps + 1.0:.3g} rungs, "
-                                 f"over {MAX_LEVELS}")
+        # counted first: a c just above 1 would append rungs until memory runs out
+        rungs = _level_count(gamma, d_hi, d_lo) if deltas and d_hi > d_lo else 1.0
+        if rungs > MAX_LEVELS:
+            raise ValueError(f"c {c!r} is too close to 1: the ANN ladder from {d_lo!r} "
+                             f"to {d_hi!r} needs about {rungs:.3g} rungs, over {MAX_LEVELS}")
         while deltas and deltas[-1] < d_hi:
             deltas.append(deltas[-1] * gamma)
     rungs = _Ladder(sub, deltas, c, np.random.default_rng(seed))
@@ -500,6 +506,11 @@ def _point_diameter_bound(coords: np.ndarray) -> float:
     return bound
 
 
+def _too_many_levels(eps: float, top: float) -> ValueError:
+    return ValueError(f"eps {eps!r} is too small: its levels from {top!r} down pass "
+                      f"{MAX_LEVELS} before every point is selected")
+
+
 def approx_greedy_points_bounded_spread(pts: PointSet, eps: float, seed: int) -> GreedyPermutation:
     """(1+eps)-greedy permutation by per-level approximate nets.
 
@@ -507,7 +518,9 @@ def approx_greedy_points_bounded_spread(pts: PointSet, eps: float, seed: int) ->
     and the level ratio compound to exactly the claimed eps.  The levels
     shrink from the diameter bound until every point is emitted; a level
     below half the least pairwise distance emits every point left, so the
-    loop needs no floor.
+    loop needs no floor.  A level with no candidate draws nothing from the
+    rng, so such levels are passed in a scalar loop; past MAX_LEVELS levels,
+    run or passed, a ValueError names eps.
     """
     _check_positive("eps", eps)
     c = 1.0 + min(math.sqrt(1.0 + eps) - 1.0, 0.9)
@@ -521,26 +534,31 @@ def approx_greedy_points_bounded_spread(pts: PointSet, eps: float, seed: int) ->
     radii: list[float] = []
     emitted = np.zeros(pts.n, dtype=bool)
     to_sel = np.full(pts.n, np.inf)  # distance to the nearest selected point
-    r = _point_diameter_bound(coords)
+    r = top = _point_diameter_bound(coords)
+    levels = 0
     while not emitted.all():
+        left = to_sel[~emitted]
         # distinct points at computed distance 0 would never be emitted
-        if r == 0.0 or not to_sel[~emitted].all():
+        if r == 0.0 or not left.all():
             raise ValueError(_DUPLICATES)
+        far = float(left.max())
+        while r >= far and levels < MAX_LEVELS:  # no candidate on this level
+            r /= c
+            levels += 1
+        levels += 1
+        if levels > MAX_LEVELS:
+            raise _too_many_levels(eps, top)
         candidates = np.flatnonzero(~emitted & (to_sel > r))
-        if candidates.size:
-            rng_level = np.random.default_rng(rng.integers(2**63))
-            # to_sel holds the row norms that marking by each prior selection
-            # would compute, so this is that mask, bit for bit
-            selected = _lsh_net_sweep(coords, candidates, r, c, rng_level,
-                                      marked=to_sel[candidates] <= c * r)
-            # to_sel[v] is v's exact distance to the full prior selection, so
-            # the running minimum is a valid non-increasing radius sequence
-            for v in selected:
-                d = float(to_sel[v])
-                radii.append(min(d, radii[-1]) if radii else d)
-                order_out.append(v)
-                emitted[v] = True
-                to_sel = np.minimum(to_sel, np.linalg.norm(coords - coords[v], axis=1))
+        rng_level = np.random.default_rng(rng.integers(2**63))
+        # to_sel holds the row norms that marking by each prior selection
+        # would compute, so this is that mask, bit for bit
+        selected = _lsh_net_sweep(coords, candidates, r, c, rng_level,
+                                  marked=to_sel[candidates] <= c * r)
+        # to_sel[v] is v's exact distance to the full prior selection, so
+        # the running minimum is a valid non-increasing radius sequence
+        for v in selected:
+            d = _select(coords, to_sel, v, emitted, order_out)
+            radii.append(min(d, radii[-1]) if radii else d)
         r /= c
     return GreedyPermutation(order=order_out, radii=radii, eps=eps)
 
@@ -551,12 +569,15 @@ def approx_greedy_points(pts: PointSet, eps: float, seed: int) -> GreedyPermutat
     An approximate min-max spanning tree partitions each level into
     subproblems: an edge is alive while its length is at most (1+3 eps) times
     the level, and components of alive edges are far enough apart that their
-    nets cannot interfere.  A point is active once some incident tree edge is
-    long relative to the level (length >= eps' r / 4n, eps' = min(eps, 1));
+    nets cannot interfere.  The alive edges are a shrinking prefix of the
+    length-sorted tree edges, so one KruskalTree gives every level's
+    components.  A point is active once some incident tree edge is long
+    relative to the level (length >= eps' r / 4n, eps' = min(eps, 1));
     inactive points huddle within eps' r / 4 of an active one and can be
     ignored.  Levels where no subproblem holds an unemitted active point are
     skipped by jumping straight to the next activation or death threshold, so
-    the running time never depends on the spread.
+    the running time never depends on the spread.  Past MAX_LEVELS levels,
+    run and jumped, a ValueError names eps.
 
     Emitted points stay active forever.  Like the bounded variant, the loop
     carries each point's exact distance to the nearest emitted point, and a
@@ -573,25 +594,24 @@ def approx_greedy_points(pts: PointSet, eps: float, seed: int) -> GreedyPermutat
     eps_a = min(eps, 1.0)         # activation budget
     c = 1.0 + e_int
     _check_ratio(eps, c)
-    _require_distinct(pts.coords)
     n = pts.n
     if n == 1:
         return GreedyPermutation(order=[0], radii=[float("inf")], eps=eps)
     from bisect import bisect_left
 
-    from scipy.sparse.csgraph import connected_components
-
     coords = pts.coords
-    r = _point_diameter_bound(coords)
     rng = np.random.default_rng(seed)
+    # the tree rejects duplicate points and distances that overflow
     tree = approx_minmax_tree(pts, eps, int(rng.integers(2**63)))
-    longest_incident = np.zeros(n)
-    for u, v, w in tree.edges:
-        longest_incident[u] = max(longest_incident[u], w)
-        longest_incident[v] = max(longest_incident[v], w)
-    tree_u, tree_v, tree_w = (np.array(col) for col in zip(*tree.edges))
+    r = top = _point_diameter_bound(coords)
+    by_w = sorted(tree.edges, key=lambda e: e[2])
+    tree_u, tree_v, tree_w = (np.array(col) for col in zip(*by_w))
     if not tree_w.all():  # distinct points at computed distance 0
         raise ValueError(_DUPLICATES)
+    longest_incident = np.zeros(n)
+    np.maximum.at(longest_incident, tree_u, tree_w)
+    np.maximum.at(longest_incident, tree_v, tree_w)
+    kruskal = KruskalTree(n, tree_u, tree_v)
     events = sorted({val for _, _, w in tree.edges
                      for val in (4.0 * n * w / eps_a, w / (1.0 + 3.0 * eps))})
     emitted = np.zeros(n, dtype=bool)
@@ -600,29 +620,21 @@ def approx_greedy_points(pts: PointSet, eps: float, seed: int) -> GreedyPermutat
     radii: list[float] = []
     levels_run = 0
     jumps = 0
-    max_iters = 100000
-    for _ in range(max_iters):
-        if emitted.all():
-            break
-        alive = tree_w <= (1.0 + 3.0 * eps) * r
-        # scipy numbers the components in the order of their smallest vertex
-        _, comp = connected_components(
-            _csr(n, tree_u[alive], tree_v[alive], tree_w[alive]), directed=False)
+    while True:
+        # min-id representatives: the components in the order of their smallest point
+        rep = kruskal.lower_to(int(np.searchsorted(tree_w, (1.0 + 3.0 * eps) * r, "right")))
         active = emitted | (longest_incident >= eps_a * r / (4.0 * n))
-        by_comp = np.argsort(comp, kind="stable")
+        by_comp = np.argsort(rep, kind="stable")
         ran_any = False
-        for members in np.split(by_comp, np.flatnonzero(np.diff(comp[by_comp])) + 1):
+        for members in np.split(by_comp, np.flatnonzero(np.diff(rep[by_comp])) + 1):
             cand = members[active[members] & ~emitted[members]]
             if not cand.size:
                 continue
             ran_any = True
             sub_rng = np.random.default_rng(rng.integers(2**63))
-            sel = _lsh_net_sweep(coords, cand, r, c, sub_rng, marked=to_sel[cand] <= c * r)
-            for v in sel:
-                radii.append(float("inf") if not order_out else r)
-                order_out.append(v)
-                emitted[v] = True
-                to_sel = np.minimum(to_sel, np.linalg.norm(coords - coords[v], axis=1))
+            for v in _lsh_net_sweep(coords, cand, r, c, sub_rng, marked=to_sel[cand] <= c * r):
+                radii.append(r if order_out else float("inf"))
+                _select(coords, to_sel, v, emitted, order_out)
         if emitted.all():
             break
         if ran_any:
@@ -634,8 +646,8 @@ def approx_greedy_points(pts: PointSet, eps: float, seed: int) -> GreedyPermutat
                 raise AssertionError("points left but no activation event below level")
             r = events[pos] * (1.0 - 1e-12)  # land just under the threshold
             jumps += 1
-    else:
-        raise AssertionError("level loop failed to terminate")
+        if levels_run + jumps >= MAX_LEVELS:
+            raise _too_many_levels(eps, top)
     perm = GreedyPermutation(order=order_out, radii=radii, eps=eps)
     perm.levels_run = levels_run
     perm.level_jumps = jumps

@@ -4,9 +4,10 @@
 
 prints one line "<lane> <runs> <sha256>" for each of the graph greedies,
 graph nets and k-center, the Euclidean lane, planar counting and selection,
-the treewidth greedy, and planar counting on wider inputs (real and zero
+the treewidth greedy, planar counting on wider inputs (real and zero
 weights, trees, series-parallel graphs, 300 vertices, an oracle with
-eps > 0).  Every input is written in its text format and
+eps > 0), and the point greedies on clustered sets spanning several
+decades.  Every input is written in its text format and
 read back through the library's parser, so the readers are covered too.
 Running the command against two checkouts and comparing the lines shows
 whether a change kept every output byte for byte.  Only public functions
@@ -145,6 +146,35 @@ def lane_points():
     return runs
 
 
+def _clusters(rng: np.random.Generator, scales, d: int) -> np.ndarray:
+    """Clusters of clusters: each point of one scale splits into one to
+    three points at a Gaussian offset of the next, smaller scale."""
+    coords = np.zeros((1, d))
+    for scale in scales:
+        coords = np.concatenate([x + scale * rng.standard_normal((int(rng.integers(1, 4)), d))
+                                 for x in coords])
+    return coords
+
+
+def lane_points_wide():
+    """The point greedies on clustered sets whose scales span several
+    decades, at eps 0.1 to 1: the spread-free greedy jumps over the empty
+    levels between scales, and its min-max tree splits into components."""
+    runs = []
+    for seed in range(6):
+        rng = np.random.default_rng([19, seed])
+        # two or three scales from 10^6 down, 4.5 to 6 decades apart
+        gaps = rng.uniform(4.5, 6.0, size=int(rng.integers(1, 3)))
+        scales = 10.0 ** (6.0 - np.concatenate(([0.0], np.cumsum(gaps))))
+        coords = _clusters(rng, scales, int(rng.integers(1, 4)))
+        pts = parse_points(_point_text(coords))
+        for eps in (0.1, 0.4, 1.0):
+            runs.append([seed, eps, "greedy", _perm(approx_greedy_points(pts, eps, seed))])
+            runs.append([seed, eps, "bounded",
+                         _perm(approx_greedy_points_bounded_spread(pts, eps, seed))])
+    return runs
+
+
 def lane_planar():
     runs = []
     graphs = [(f"delaunay{seed}", delaunay_graph(int(n), np.random.default_rng([15, seed])))
@@ -227,7 +257,7 @@ def lane_treewidth():
 
 LANES = {"graph_greedy": lane_graph_greedy, "net_kcenter": lane_net_kcenter,
          "points": lane_points, "planar": lane_planar, "treewidth": lane_treewidth,
-         "planar_wide": lane_planar_wide}
+         "planar_wide": lane_planar_wide, "points_wide": lane_points_wide}
 
 
 def main() -> None:

@@ -11,6 +11,7 @@ import pytest
 import farfirst.cli
 import farfirst.greedy
 import farfirst.oracles
+import farfirst.points
 from farfirst.cli import _point_matrix, main
 
 PATH4 = "4 3\n0 1 1\n1 2 1\n2 3 1\n"
@@ -239,6 +240,21 @@ def test_ann_ladder_over_the_level_cap_is_exit_2(tmp_path, capsys):
     assert main(["greedy", "--eps", "4e-15", "--points", str(p)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: c 1.000000000000004 is too close to 1: ")
+
+
+def test_points_greedy_over_the_level_budget_is_exit_2(tmp_path, capsys, monkeypatch):
+    """The bounded greedy passes the empty levels of eps 1e-15 at once; the
+    spread-free one runs its levels, so a small budget stands in for a
+    small eps."""
+    p = tmp_path / "line.xy"
+    p.write_text("3 1\n0\n1\n1e6\n")
+    assert main(["greedy", "--bounded-spread", "--eps", "1e-15", "--points", str(p)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: eps 1e-15 is too small: ")
+    monkeypatch.setattr(farfirst.points, "MAX_LEVELS", 10)
+    assert main(["greedy", "--eps", "0.5", "--points", str(p)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: eps 0.5 is too small: ")
 
 
 @pytest.mark.parametrize("flags", [[], ["--bounded-spread"]])

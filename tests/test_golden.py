@@ -18,9 +18,10 @@ search, all on integer weights.
 The points digests pin the Euclidean lane: approx_greedy_points (order,
 radii, levels_run, level_jumps), approx_greedy_points_bounded_spread (order,
 radii), approx_r_net_points (points, selection deltas) at two radii and the
-approx_minmax_tree edges, on three seeded point sets over three eps values.
+approx_minmax_tree edges, on four seeded point sets over three eps values.
 They were recorded from the dict-of-bytes bucket tables and the one query at
-a time min-max tree.
+a time min-max tree; the "decades" digest, the only one whose greedy jumps
+levels, from per-level scipy components of the min-max tree.
 
 The net digests pin the graph r_net (points, selection deltas, update count
 and the cover field's bytes) at three radii over a seeded order, each on a
@@ -272,15 +273,27 @@ def _clusters():
     return np.repeat(centers, 6, axis=0) + rng.normal(scale=1e-6, size=(48, 5))
 
 
+def _decades():
+    """Pairs of pairs of pairs at scales 1e3, 1e-2 and 1e-7: the spread-free
+    greedy jumps over the empty levels between them."""
+    rng = np.random.default_rng(50)
+    coords = np.zeros((1, 2))
+    for scale in (1e3, 1e-2, 1e-7):
+        coords = np.concatenate([x + scale * rng.standard_normal((2, 2)) for x in coords])
+    return coords
+
+
 POINTS = {
     "uniform20": lambda: np.random.default_rng(41).uniform(0.0, 1.0, size=(60, 20)),
     "line": lambda: np.random.default_rng(42).uniform(0.0, 100.0, size=(40, 1)),
     "clusters": _clusters,
+    "decades": _decades,
 }
 POINTS_GOLDEN = {
     "uniform20": "dee9b2e19bb99ff9c574ee0dd50cb38d09f2754a4953d1ac49a31d523e834e9b",
     "line": "a89c77a18faa68e85a9bd39ca7ec868127d615a8dea5f0a91285dcf3c96f74fc",
     "clusters": "243a2f1b6722f6dfafb1de2eb45b155aabb1b36d436352ef135ec93cac3448f3",
+    "decades": "d733f078d5a9140d622b6f0ec9d09e90b1d1a03ee731ee0cd3986791475009c5",
 }
 
 

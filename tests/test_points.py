@@ -528,6 +528,52 @@ def test_ann_ladder_over_the_level_cap_is_rejected_before_it_is_built():
     assert len(ann_build(pts, 1.0 + 1e-4, seed=0).rungs) > 100_000  # under the cap
 
 
+def test_bounded_points_greedy_passes_empty_levels_within_the_level_budget():
+    """At eps 1e-15 the bounded greedy's ratio is 1 + 4.4e-16: it would walk
+    about 3e16 levels from 2e6 down to 1, none with a candidate.  It passes
+    them in a scalar loop that stops at MAX_LEVELS and raises."""
+    pts = PointSet(np.array([[0.0], [1.0], [1e6]]))
+    with pytest.raises(ValueError, match=r"^eps 1e-15 is too small: its levels from "
+                                         r"2000000\.0 down pass 1000000 before"):
+        approx_greedy_points_bounded_spread(pts, 1e-15, seed=1)
+
+
+def test_bounded_points_greedy_budget_counts_every_level(monkeypatch):
+    """Passed levels count as well as run ones: on the line 0, 1, 1e6 the
+    ratio sqrt(1.5) takes 74 levels from 2e6 down below 1/c, and only three
+    of them have a candidate."""
+    pts = PointSet(np.array([[0.0], [1.0], [1e6]]))
+    c = math.sqrt(1.5)
+    free = approx_greedy_points_bounded_spread(pts, 0.5, seed=1)
+    # the last level is the first below 1/c: below it, 0 and 1 are not marked
+    levels = 1 + math.ceil(math.log(2e6 * c) / math.log(c))
+    monkeypatch.setattr(points, "MAX_LEVELS", levels)
+    perm = approx_greedy_points_bounded_spread(pts, 0.5, seed=1)
+    assert (perm.order, perm.radii) == (free.order, free.radii)
+    monkeypatch.setattr(points, "MAX_LEVELS", levels - 1)
+    with pytest.raises(ValueError, match="eps 0.5 is too small"):
+        approx_greedy_points_bounded_spread(pts, 0.5, seed=1)
+
+
+@pytest.mark.parametrize("coords, eps", [([[0.0], [1.0], [1e12]], 0.5),
+                                         (np.random.default_rng(1).random((12, 2)), 0.02)],
+                         ids=["jumps", "no_jumps"])
+def test_spread_free_points_greedy_budget_counts_run_levels_and_jumps(monkeypatch, coords, eps):
+    """The spread-free greedy visits levels_run + level_jumps + 1 levels
+    (the last one selects the last point).  That many fit MAX_LEVELS; one
+    fewer raises a ValueError naming eps, which the CLI reports as exit 2."""
+    pts = PointSet(np.array(coords))
+    free = approx_greedy_points(pts, eps, seed=1)
+    visited = free.levels_run + free.level_jumps + 1
+    monkeypatch.setattr(points, "MAX_LEVELS", visited)
+    perm = approx_greedy_points(pts, eps, seed=1)
+    assert (perm.order, perm.radii, perm.levels_run, perm.level_jumps) == (
+        free.order, free.radii, free.levels_run, free.level_jumps)
+    monkeypatch.setattr(points, "MAX_LEVELS", visited - 1)
+    with pytest.raises(ValueError, match=f"^eps {eps!r} is too small: "):
+        approx_greedy_points(pts, eps, seed=1)
+
+
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
 def test_bounded_greedy_mask_equals_marking_by_each_selection(scale):
     """The bounded variant marks a level's candidates with to_sel <= c*r.

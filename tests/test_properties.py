@@ -1,10 +1,12 @@
-"""Property tests for the graph lane: small connected multigraphs, with zero
-weights, parallel edges and one- and two-vertex graphs, checked against the
-brute-force oracles.  Weights are multiples of 1/2, so every path length is
-exact in float64 and the matrix oracles meet the searches' sums exactly.
+"""Property tests for the graph lane and the point lane, checked against
+the brute-force oracles.  Graphs are small connected multigraphs, with zero
+weights, parallel edges and one- and two-vertex graphs; weights are
+multiples of 1/2, so every path length is exact in float64 and the matrix
+oracles meet the searches' sums exactly.  Point sets are small, with tied
+distances and coordinates over twelve decades.
 
 hypothesis is not a declared dependency: the module is skipped without it.
-The runs are derandomized, so every run tests the same graphs.
+The runs are derandomized, so every run tests the same inputs.
 """
 
 import numpy as np
@@ -19,6 +21,11 @@ from farfirst.greedy import (approx_greedy, approx_greedy_bounded_spread,  # noq
                              exact_greedy, k_center_integer, r_net)
 from farfirst.oracles import (apsp_exact, brute_greedy, kcenter_opt,  # noqa: E402
                               verify_eps_greedy, verify_net)
+from farfirst.points import (PointSet, approx_greedy_points,  # noqa: E402
+                             approx_greedy_points_bounded_spread, approx_minmax_tree,
+                             approx_r_net_points)
+
+from conftest import point_distances  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 
@@ -98,3 +105,55 @@ def test_k_center_integer_is_within_twice_optimal(g, data, seed):
     assert 1 <= len(centers) <= k
     assert radius == float(dm[centers].min(axis=0).max())
     assert radius <= 2.0 * kcenter_opt(dm, k)
+
+
+# --- the point lane ---
+
+COORD = st.sampled_from([-1e6, -3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 1e3, 1e6])
+
+
+@st.composite
+def point_sets(draw):
+    """Distinct points, at most 10 in at most 3 dimensions, from a few
+    coordinates: many distances tie, and the spread reaches 10^12."""
+    d = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[COORD] * d), min_size=1, max_size=10, unique=True))
+    return np.array(rows, dtype=np.float64)
+
+
+@SETTINGS
+@given(coords=point_sets(), eps=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(coords=np.array([[0.0]]), eps=0.5, seed=0)
+def test_point_greedies_admit_an_eps_certificate(coords, eps, seed):
+    pts = PointSet(coords)
+    dm = point_distances(coords)
+    for fn in (approx_greedy_points, approx_greedy_points_bounded_spread):
+        perm = fn(pts, eps, seed)
+        assert sorted(perm.order) == list(range(pts.n))
+        assert verify_eps_greedy(dm, perm, eps).ok, fn.__name__
+
+
+@SETTINGS
+@given(coords=point_sets(), frac=st.sampled_from([1e-7, 1e-3, 0.1, 0.5, 1.0]),
+       eps=st.sampled_from([0.25, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_point_net_deltas_are_the_distances_to_earlier_selections(coords, frac, eps, seed):
+    r = frac * max(float(np.ptp(coords)), 1.0)
+    net = approx_r_net_points(PointSet(coords), r, eps, seed)
+    sel = [int(v) for v in net.points]
+    want = [float(np.linalg.norm(coords[sel[:i]] - coords[x], axis=1).min()) if i else np.inf
+            for i, x in enumerate(sel)]
+    assert net.selection_deltas == want
+    # covering within (1 + eps) r is deterministic
+    assert point_distances(coords)[sel].min(axis=0).max() <= (1.0 + eps) * r
+
+
+@SETTINGS
+@given(coords=point_sets(), data=st.data())
+def test_point_greedies_reject_duplicate_points(coords, data):
+    copy = data.draw(st.integers(0, len(coords) - 1))
+    at = data.draw(st.integers(0, len(coords)))
+    pts = PointSet(np.insert(coords, at, coords[copy], axis=0))
+    for fn in (approx_greedy_points, approx_greedy_points_bounded_spread, approx_minmax_tree):
+        with pytest.raises(ValueError, match="duplicate points"):
+            fn(pts, 0.5, 0)
