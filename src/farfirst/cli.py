@@ -62,8 +62,8 @@ def _verify_perm(args, perm, dm) -> int:
 def cmd_greedy(args) -> int:
     if args.points is not None:
         from .oracles import brute_greedy
-        from .points import (PointSet, approx_greedy_points,
-                             approx_greedy_points_bounded_spread, parse_points)
+        from .points import (approx_greedy_points, approx_greedy_points_bounded_spread,
+                             parse_points)
 
         if args.td is not None:
             raise ValueError("--td applies to graph inputs only")

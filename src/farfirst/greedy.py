@@ -14,7 +14,7 @@ across levels whose working graph is unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,6 +64,11 @@ class GreedyPermutation:
     order: list[int]
     radii: list[float]  # radii[0] is an +inf sentinel; non-increasing afterwards
     eps: float
+    # counters of the variant that sets them, None elsewhere: approx_greedy's
+    # active levels per edge, and the levels approx_greedy_points ran and jumped
+    active_level_counts: np.ndarray | None = field(default=None, compare=False)
+    levels_run: int | None = field(default=None, compare=False)
+    level_jumps: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.order) != len(self.radii):
@@ -295,9 +300,7 @@ def approx_greedy(g: Graph, eps: float, seed: int) -> GreedyPermutation:
     eps_run = min(eps, 1.0) / 3.0
     delta = approx_diameter(g)
     if delta == 0.0:
-        perm = _all_at_zero(g, eps)
-        perm.active_level_counts = np.zeros(g.m, dtype=np.int64)
-        return perm
+        return replace(_all_at_zero(g, eps), active_level_counts=np.zeros(g.m, dtype=np.int64))
     floor = g.min_weight()
     _check_levels(eps, 1.0 + eps_run, delta, floor)
     schedule = _levels(delta, eps_run, floor)
@@ -355,9 +358,8 @@ def approx_greedy(g: Graph, eps: float, seed: int) -> GreedyPermutation:
     radii[0] = INF
     if len(order_out) < n:  # only a zero-distance tail can be left
         _append_zero_distance_tail(g, _final_distances(g, order_out), order_out, radii)
-    perm = GreedyPermutation(order=order_out, radii=radii, eps=eps)
-    perm.active_level_counts = active_levels  # per-edge diagnostics
-    return perm
+    return GreedyPermutation(order=order_out, radii=radii, eps=eps,
+                             active_level_counts=active_levels)
 
 
 def _final_distances(g: Graph, selected) -> np.ndarray:

@@ -58,49 +58,34 @@ class HierarchicalDecomposition:
         return [len(nd.boundary) for nd in self.nodes if nd.children is not None]
 
 
-def _components(adj, patch: list[int]) -> list[list[int]]:
-    inside = set(patch)
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for start in patch:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            for nb, _ in adj[stack.pop()]:
-                if nb in inside and nb not in seen:
-                    seen.add(nb)
-                    comp.append(nb)
-                    stack.append(nb)
-        comps.append(sorted(comp))
-    return sorted(comps, key=lambda c: (-len(c), c[0]))
-
-
 def _split_patch(adj, patch: list[int]) -> tuple[list[int], list[int]]:
     """Split a patch into two disjoint halves of at most 2/3 the size.
 
-    If one component dominates, a median BFS level of it becomes a separator
-    (below and above are each at most half the component); the resulting
-    pieces, none larger than half the patch, are then packed greedily.
+    One BFS per component, started at its smallest id (the patch is
+    sorted), yields both the components and their BFS levels.  If one
+    component dominates, a median level of it becomes a separator (below
+    and above are each at most half the component); the resulting pieces,
+    none larger than half the patch, are then packed greedily.
     """
     total = len(patch)
-    comps = _components(adj, patch)
+    inside = set(patch)
+    level: dict[int, int] = {}
+    comps: list[list[int]] = []
+    for start in patch:
+        if start in level:
+            continue
+        level[start] = 0
+        comp = [start]
+        for u in comp:  # the list is the BFS queue
+            for nb, _ in adj[u]:
+                if nb in inside and nb not in level:
+                    level[nb] = level[u] + 1
+                    comp.append(nb)
+        comps.append(sorted(comp))
+    comps.sort(key=lambda c: (-len(c), c[0]))
     items: list[list[int]]
     if 3 * len(comps[0]) > 2 * total:
         comp = comps[0]
-        inside = set(comp)
-        level = {comp[0]: 0}
-        frontier = [comp[0]]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for nb, _ in adj[u]:
-                    if nb in inside and nb not in level:
-                        level[nb] = level[u] + 1
-                        nxt.append(nb)
-            frontier = nxt
         by_pos = sorted(comp, key=lambda v: (level[v], v))
         median_level = level[by_pos[len(comp) // 2]]
         below = [v for v in comp if level[v] < median_level]
@@ -159,21 +144,13 @@ def build_hd(g: Graph) -> HierarchicalDecomposition:
 
 
 class DistanceOracle:
-    """Interface: query(u, v) in [d(u, v), (1 + eps) d(u, v)]; block(us, vs)
-    is the len(us) x len(vs) matrix of the same values, and pairs(us, vs)
-    the vector of query(us[i], vs[i]) for two equal-length id arrays."""
+    """Interface: query(u, v) in [d(u, v), (1 + eps) d(u, v)], and pairs(us,
+    vs) the vector of query(us[i], vs[i]) for two equal-length id arrays."""
 
     eps: float = 0.0
 
     def query(self, u: int, v: int) -> float:
         raise NotImplementedError
-
-    def block(self, us, vs) -> np.ndarray:
-        out = np.empty((len(us), len(vs)), dtype=np.float64)
-        for i, u in enumerate(us):
-            for j, v in enumerate(vs):
-                out[i, j] = self.query(int(u), int(v))
-        return out
 
     def pairs(self, us, vs) -> np.ndarray:
         return np.array([self.query(int(u), int(v)) for u, v in zip(us, vs)],
@@ -183,8 +160,8 @@ class DistanceOracle:
 class _ExactOracle(DistanceOracle):
     """Full single-source rows, kept: row _slot[u] of _rows is the row of
     source u (_slot[u] is -1 until some lookup asks for it).  One matrix, so
-    a block or a vector of pairs is one gather: every count of a selection
-    asks for the pairs of all its patches at once."""
+    a vector of pairs is one gather: every count of a selection asks for the
+    pairs of all its patches at once, and a query is a vector of one."""
 
     eps = 0.0
 
@@ -194,14 +171,10 @@ class _ExactOracle(DistanceOracle):
         self._slot = np.full(g.n, -1, dtype=np.int64)
 
     def query(self, u: int, v: int) -> float:
-        return float(self.block([u], [v])[0, 0])
-
-    def block(self, us, vs) -> np.ndarray:
-        slot = self._slots(us)  # first: it may replace _rows
-        return self._rows[slot[:, None], np.asarray(vs, dtype=np.int64)]
+        return float(self.pairs([u], [v])[0])
 
     def pairs(self, us, vs) -> np.ndarray:
-        slot = self._slots(us)
+        slot = self._slots(us)  # first: it may replace _rows
         return self._rows[slot, np.asarray(vs, dtype=np.int64)]
 
     def _slots(self, us) -> np.ndarray:

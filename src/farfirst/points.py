@@ -596,7 +596,8 @@ def approx_greedy_points(pts: PointSet, eps: float, seed: int) -> GreedyPermutat
     _check_ratio(eps, c)
     n = pts.n
     if n == 1:
-        return GreedyPermutation(order=[0], radii=[float("inf")], eps=eps)
+        return GreedyPermutation(order=[0], radii=[float("inf")], eps=eps,
+                                 levels_run=0, level_jumps=0)
     from bisect import bisect_left
 
     coords = pts.coords
@@ -648,7 +649,5 @@ def approx_greedy_points(pts: PointSet, eps: float, seed: int) -> GreedyPermutat
             jumps += 1
         if levels_run + jumps >= MAX_LEVELS:
             raise _too_many_levels(eps, top)
-    perm = GreedyPermutation(order=order_out, radii=radii, eps=eps)
-    perm.levels_run = levels_run
-    perm.level_jumps = jumps
-    return perm
+    return GreedyPermutation(order=order_out, radii=radii, eps=eps,
+                             levels_run=levels_run, level_jumps=jumps)

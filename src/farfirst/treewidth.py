@@ -52,6 +52,12 @@ class TreeDecomposition:
 def parse_tree_decomposition(source, g: Graph) -> TreeDecomposition:
     """Read and validate a decomposition: header "b w", b bag lines of
     space-separated members, then b-1 tree-edge lines "i j".
+
+    The tree edges must form a spanning tree of the bags, every graph edge
+    must lie in some bag, and the bags holding a vertex must form one
+    subtree.  On a spanning tree, that last holds exactly when the tree
+    edges whose two bags both hold the vertex number one less than its
+    bags, so one pass over the tree edges counts them for every vertex.
     """
     name, text = read_input(source, "decomposition")
     lineno, b, w, rows = _headed(text, name, "decomposition", "b w")
@@ -92,23 +98,12 @@ def parse_tree_decomposition(source, g: Graph) -> TreeDecomposition:
     for u, v, _ in g.edges:
         if not (bags_of[u] & bags_of[v]):
             raise ValueError(f"{name}: edge ({u}, {v}) not covered by any bag")
-    node_adj: list[list[int]] = [[] for _ in range(b)]
+    shared = [0] * g.n  # per vertex, the tree edges whose two bags hold it
     for i, j in tree_edges:
-        node_adj[i].append(j)
-        node_adj[j].append(i)
+        for v in set(bags[i]).intersection(bags[j]):
+            shared[v] += 1
     for v in range(g.n):
-        nodes = bags_of[v]
-        if not nodes:
-            continue
-        start = next(iter(nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nb in node_adj[stack.pop()]:
-                if nb in nodes and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if seen != nodes:
+        if bags_of[v] and shared[v] != len(bags_of[v]) - 1:
             raise ValueError(
                 f"{name}: bags containing vertex {v} do not form a connected subtree")
     return TreeDecomposition(bags=bags, edges=tree_edges, width=width)
@@ -126,17 +121,16 @@ def _normalize_binary(td: TreeDecomposition):
     for i, j in td.edges:
         adj[i].append(j)
         adj[j].append(i)
-    parent = [-2] * b
+    children: list[list[int]] = [[] for _ in range(b)]
+    seen = [False] * b
+    seen[0] = True
     order = [0]
-    parent[0] = -1
     for u in order:
         for nb in adj[u]:
-            if parent[nb] == -2:
-                parent[nb] = u
+            if not seen[nb]:
+                seen[nb] = True
+                children[u].append(nb)
                 order.append(nb)
-    children: list[list[int]] = [[] for _ in range(b)]
-    for u in order[1:]:
-        children[parent[u]].append(u)
     nbags: list[tuple[int, ...]] = []
     nchildren: list[list[int]] = []
     ndepth: list[int] = []

@@ -6,9 +6,11 @@ prints one line "<lane> <runs> <sha256>" for each of the graph greedies,
 graph nets and k-center, the Euclidean lane, planar counting and selection,
 the treewidth greedy, planar counting on wider inputs (real and zero
 weights, trees, series-parallel graphs, 300 vertices, an oracle with
-eps > 0), and the point greedies on clustered sets spanning several
-decades.  Every input is written in its text format and
-read back through the library's parser, so the readers are covered too.
+eps > 0), the point greedies on clustered sets spanning several
+decades, and the decomposition structures (planar patch trees, parsed and
+corrupted tree decompositions, restricted partitions).  Every input is
+written in its text format and read back through the library's parser, so
+the readers are covered too.
 Running the command against two checkouts and comparing the lines shows
 whether a change kept every output byte for byte.  Only public functions
 and their required arguments are used, so the command runs against older
@@ -22,8 +24,9 @@ import json
 
 import numpy as np
 
-from farfirst.generators import (delaunay_graph, grid_graph, random_connected_graph,
-                                 random_ktree, random_series_parallel, random_tree)
+from farfirst.generators import (delaunay_graph, format_tree_decomposition, grid_graph,
+                                 random_connected_graph, random_ktree, random_series_parallel,
+                                 random_tree)
 from farfirst.graphs import make_graph, parse_graph
 from farfirst.greedy import (approx_greedy, approx_greedy_bounded_spread, exact_greedy,
                              k_center_integer, r_net)
@@ -32,7 +35,8 @@ from farfirst.planar import (DistanceOracle, build_hd, count_short_pairs, exact_
                              select_kth_distance)
 from farfirst.points import (approx_greedy_points, approx_greedy_points_bounded_spread,
                              approx_minmax_tree, approx_r_net_points, parse_points)
-from farfirst.treewidth import exact_greedy_treewidth, parse_tree_decomposition
+from farfirst.treewidth import (exact_greedy_treewidth, parse_tree_decomposition,
+                                restricted_partition)
 
 EPS = (0.1, 0.5, 1.0, 2.0)
 
@@ -55,7 +59,7 @@ def _perm(perm) -> dict:
     if counts is not None:
         out["active"] = [int(c) for c in counts]
     for name in ("levels_run", "level_jumps"):
-        if hasattr(perm, name):
+        if getattr(perm, name, None) is not None:
             out[name] = int(getattr(perm, name))
     return out
 
@@ -255,9 +259,63 @@ def lane_treewidth():
     return runs
 
 
+def _corrupted(td, rng: np.random.Generator) -> str:
+    """The text of td with one member dropped from a bag of two or more, and
+    half the time one tree edge moved to a random bag."""
+    bags = [list(bag) for bag in td.bags]
+    edges = list(td.edges)
+    wide = [i for i, bag in enumerate(bags) if len(bag) > 1]
+    bag = bags[wide[int(rng.integers(len(wide)))]]
+    del bag[int(rng.integers(len(bag)))]
+    if edges and rng.random() < 0.5:
+        i = int(rng.integers(len(edges)))
+        edges[i] = (edges[i][0], int(rng.integers(len(bags))))
+    return format_tree_decomposition(bags, edges)
+
+
+def lane_decomp():
+    """The decomposition structures behind the planar and treewidth lanes:
+    build_hd's node lists on Delaunay graphs, grids and trees; the outcome or
+    error text of parse_tree_decomposition on generator decompositions and
+    on corrupted copies of them; and restricted_partition's subgraphs, in
+    order, at several k."""
+    runs = []
+    rng = np.random.default_rng(20)
+    planar = [delaunay_graph(n, rng) for n in (10, 40, 120, 400)]
+    planar += [grid_graph(1, 9), grid_graph(7, 11, rng=rng, w_hi=5)]
+    planar += [random_tree(n, rng)[0] for n in (2, 30, 90)]
+    for g in planar:
+        g = _reread(g)
+        runs.append([[nd.patch, nd.boundary, nd.children] for nd in build_hd(g).nodes])
+    for seed in range(12):
+        rng = np.random.default_rng([21, seed])
+        n = int(rng.integers(4, 60))
+        for name, (g, doc) in (("tree", random_tree(n, rng)),
+                               ("sp", random_series_parallel(n, rng)),
+                               ("ktree", random_ktree(n, 3, rng))):
+            g = _reread(g)
+            td = parse_tree_decomposition(doc, g)
+            for k in sorted({1, 3, 8, g.m}):
+                try:
+                    part = [[s.edge_ids, s.vertices, s.boundary, s.interior]
+                            for s in restricted_partition(g, td, k).subgraphs]
+                except ValueError as err:
+                    part = str(err)
+                runs.append([seed, name, k, part])
+            for _ in range(4):
+                try:
+                    bad = parse_tree_decomposition(_corrupted(td, rng), g)
+                    outcome = [bad.bags, bad.edges, bad.width]
+                except ValueError as err:
+                    outcome = str(err)
+                runs.append([seed, name, outcome])
+    return runs
+
+
 LANES = {"graph_greedy": lane_graph_greedy, "net_kcenter": lane_net_kcenter,
          "points": lane_points, "planar": lane_planar, "treewidth": lane_treewidth,
-         "planar_wide": lane_planar_wide, "points_wide": lane_points_wide}
+         "planar_wide": lane_planar_wide, "points_wide": lane_points_wide,
+         "decomp": lane_decomp}
 
 
 def main() -> None:

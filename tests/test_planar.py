@@ -103,25 +103,6 @@ def test_exact_oracle_matches_apsp():
         assert orc.query(int(u), int(v)) == dm[u, v]
 
 
-def test_exact_oracle_block_matches_apsp_and_default_block():
-    rng = np.random.default_rng(4)
-    g = delaunay_graph(40, rng)
-    dm = apsp_exact(g)
-    orc = exact_oracle(g)
-    us, vs = [5, 0, 5, 17], [3, 3, 39, 0, 12]
-    assert np.array_equal(orc.block(us, vs), dm[np.ix_(us, vs)])
-    assert orc.block([], vs).shape == (0, 5)
-    # cached and new sources mixed, one new source twice
-    us = [2, 17, 2, 30, 5]
-    assert np.array_equal(orc.block(us, vs), dm[np.ix_(us, vs)])
-
-    class ByQuery(DistanceOracle):
-        def query(self, u, v):
-            return float(dm[u, v])
-
-    assert np.array_equal(ByQuery().block(us, vs), dm[np.ix_(us, vs)])
-
-
 def test_exact_oracle_pairs_match_apsp_and_default_pairs():
     rng = np.random.default_rng(6)
     g = delaunay_graph(40, rng)
@@ -130,6 +111,9 @@ def test_exact_oracle_pairs_match_apsp_and_default_pairs():
     us, vs = np.array([5, 0, 5, 17, 39]), np.array([3, 3, 39, 0, 5])
     assert np.array_equal(orc.pairs(us, vs), dm[us, vs])
     assert orc.pairs([], []).shape == (0,)
+    # cached and new sources mixed, one new source twice
+    us, vs = np.array([2, 17, 2, 30, 5]), np.array([12, 0, 39, 2, 3])
+    assert np.array_equal(orc.pairs(us, vs), dm[us, vs])
 
     class ByQuery(DistanceOracle):
         def query(self, u, v):
@@ -159,16 +143,21 @@ def _count_per_pair(g, hd, r, eps, oracle):
     return alpha
 
 
+def _queries(oracle, us, vs):
+    """The len(us) x len(vs) matrix of oracle queries, one at a time."""
+    return np.array([[oracle.query(u, v) for v in vs] for u in us], dtype=np.float64)
+
+
 def _owner_thresholds(g, hd, r, oracle):
     """(side-2 group, threshold of every side-1 vertex) per patch and side-2
     owner, computed as the per-patch loop of count_short_pairs did before its
-    flat layout: one oracle block per patch, cap = 3r - block / (1 + eps_o),
-    and the thresholds cap[own, j] - x1."""
+    flat layout: one cap = 3r - query / (1 + eps_o) per (side-1 owner,
+    side-2 owner) pair of a patch, and the thresholds cap[own, j] - x1."""
     scale = 1.0 + oracle.eps
     for p in _patches(g, hd):
         x1 = np.concatenate([p.groups[(1, b)] for b in p.b1])
         own = np.repeat(np.arange(len(p.b1)), [len(p.groups[(1, b)]) for b in p.b1])
-        cap = 3.0 * r - oracle.block(p.b1, p.b2) / scale
+        cap = 3.0 * r - _queries(oracle, p.b1, p.b2) / scale
         for j, b in enumerate(p.b2):
             yield p.groups[(2, b)], cap[own, j] - x1
 
@@ -255,7 +244,7 @@ def test_count_is_zero_when_every_cap_is_negative():
     for oracle, eps in ((exact_oracle(g), 0.5), (_StretchedByQuery(g), 0.5)):
         scale = 1.0 + oracle.eps
         for p in _patches(g, hd):
-            assert (3.0 * r - oracle.block(p.b1, p.b2) / scale < 0.0).all()
+            assert (3.0 * r - _queries(oracle, p.b1, p.b2) / scale < 0.0).all()
         assert count_short_pairs(g, hd, r, eps, oracle) == _count_per_patch(g, hd, r, oracle) == 0
 
 

@@ -427,6 +427,12 @@ def test_points_greedy_spread_free_cross_check():
         assert sorted(b.order) == list(range(40))
 
 
+def test_points_greedy_spread_free_single_point_counts_no_levels():
+    perm = approx_greedy_points(PointSet(np.array([[2.5, -1.0]])), 0.5, seed=1)
+    assert (perm.order, perm.radii) == ([0], [math.inf])
+    assert (perm.levels_run, perm.level_jumps) == (0, 0)
+
+
 def test_points_greedy_spread_free_extreme_line():
     pts = PointSet(np.array([[0.0], [1.0], [1e12]]))
     perm = approx_greedy_points(pts, 0.5, seed=3)
