@@ -39,9 +39,11 @@ def _load_graph(args):
 def _point_matrix(coords: np.ndarray) -> np.ndarray:
     """Pairwise distances, built one row at a time: an n x n x d difference
     tensor would take d times the matrix's memory."""
+    from .points import _norms
+
     dm = np.empty((coords.shape[0], coords.shape[0]))
     for i, x in enumerate(coords):
-        dm[i] = np.linalg.norm(coords - x, axis=1)
+        dm[i] = _norms(coords - x)
     return dm
 
 
@@ -49,7 +51,7 @@ def _perm_lines(perm):
     return [f"{i} {v} {_fmt(r)}" for i, (v, r) in enumerate(zip(perm.order, perm.radii))]
 
 
-def _verify_perm(args, perm, dm) -> int:
+def _verify_perm(perm, dm) -> int:
     from .oracles import verify_eps_greedy
 
     check = verify_eps_greedy(dm, perm, perm.eps)
@@ -99,7 +101,7 @@ def cmd_greedy(args) -> int:
             dm = apsp_exact(g)
     _emit(_perm_lines(perm), args.output)
     if args.verify:
-        return _verify_perm(args, perm, dm)
+        return _verify_perm(perm, dm)
     return 0
 
 

@@ -1,6 +1,8 @@
 """High-dimensional Euclidean pipeline: locality-sensitive hashing,
 approximate r-nets, an approximate min-max spanning tree, and greedy
-permutations with and without a spread assumption.
+permutations with and without a spread assumption.  Every point distance
+but ann_build's pdist is a row length from _norms, so two computations of
+one distance agree bit for bit.
 
 Hash family: p-stable Gaussian buckets h(x) = floor((a.x + b)/w) with w = 4r,
 concatenated in groups of ceil(log2 n).  The (delta, c*delta, p1, p2)
@@ -89,6 +91,11 @@ _DUPLICATES = "duplicate points (infinite spread)"
 def _require_distinct(coords: np.ndarray) -> None:
     if np.unique(coords, axis=0).shape[0] != coords.shape[0]:
         raise ValueError(_DUPLICATES)
+
+
+def _norms(D: np.ndarray) -> np.ndarray:
+    """The Euclidean length of each row of D."""
+    return np.sqrt(np.vecdot(D, D))
 
 
 # --- locality-sensitive hashing ---
@@ -263,8 +270,7 @@ def _lsh_net_sweep(coords: np.ndarray, ids, r: float, c: float,
             continue
         selected.append(x)
         for _, rows in tables.mates(tables.keys[row:row + 1]):  # x is its own mate
-            dist = np.linalg.norm(sub[rows] - coords[x], axis=1)
-            marked[rows[dist <= c * r]] = True
+            marked[rows[_norms(sub[rows] - coords[x]) <= c * r]] = True
     return selected
 
 
@@ -274,7 +280,7 @@ def _select(coords: np.ndarray, to_sel: np.ndarray, v: int, emitted, order) -> f
     d = float(to_sel[v])
     order.append(v)
     emitted[v] = True
-    np.minimum(to_sel, np.linalg.norm(coords - coords[v], axis=1), out=to_sel)
+    np.minimum(to_sel, _norms(coords - coords[v]), out=to_sel)
     return d
 
 
@@ -290,9 +296,8 @@ def approx_r_net_points(pts: PointSet, r: float, eps: float, seed: int) -> Net:
     rng = np.random.default_rng(seed)
     selected = _lsh_net_sweep(pts.coords, range(pts.n), r, 1.0 + eps, rng)
     # each selection's distance to the ones before it
-    sub, k = pts.coords[selected], len(selected)
-    to_sel, emitted, order = np.full(k, np.inf), np.zeros(k, dtype=bool), []
-    deltas = [_select(sub, to_sel, i, emitted, order) for i in range(k)]
+    sub = pts.coords[selected]
+    deltas = [float(_norms(sub[:i] - x).min(initial=np.inf)) for i, x in enumerate(sub)]
     return Net(points=selected, r=r, cover_field=None, selection_deltas=deltas)
 
 
@@ -404,7 +409,7 @@ def ann_query_many(index: AnnIndex, qs: np.ndarray) -> np.ndarray:
             for q, rows in tables.mates(fam.hash_points(qs[live[lo:lo + block], None, :])):
                 q += lo
                 cand = ids[rows]
-                dist = np.linalg.norm(coords[cand] - qs[live[q]], axis=1)
+                dist = _norms(coords[cand] - qs[live[q]])
                 # per query (the pairs come sorted by query): the least
                 # distance, then the least id at that distance
                 start = np.flatnonzero(_heads(q))
@@ -419,7 +424,7 @@ def ann_query_many(index: AnnIndex, qs: np.ndarray) -> np.ndarray:
         best_id[live[won]], best_d[live[won]] = rung_id[won], rung_d[won]
         live = live[best_d[live] > accept * delta_j]
     for i in live:
-        best_id[i] = ids[int(np.argmin(np.linalg.norm(coords[ids] - qs[i], axis=1)))]
+        best_id[i] = ids[int(np.argmin(_norms(coords[ids] - qs[i])))]
     return best_id
 
 
@@ -464,13 +469,11 @@ def approx_minmax_tree(pts: PointSet, eps: float, seed: int) -> MinMaxTree:
     coords = pts.coords
     edges: list[tuple[int, int, float]] = []
     while True:
-        roots = sorted({dsu.find(v) for v in range(n)})
-        if len(roots) == 1:
+        roots, comp = np.unique([dsu.find(v) for v in range(n)], return_inverse=True)
+        if roots.size == 1:
             break
-        comp_idx = {r: i for i, r in enumerate(roots)}
-        comp = np.array([comp_idx[dsu.find(v)] for v in range(n)])
-        bits = max(1, (len(roots) - 1).bit_length())
-        best: dict[int, tuple[float, int, int]] = {}
+        bits = max(1, (roots.size - 1).bit_length())
+        found = []  # (queries, answers) of each class
         for b in range(bits):
             side = (comp >> b) & 1
             for val in (0, 1):
@@ -479,17 +482,17 @@ def approx_minmax_tree(pts: PointSet, eps: float, seed: int) -> MinMaxTree:
                 index = ann_build(pts, 1.0 + eps, int(rng.integers(2**63)),
                                   ids=np.flatnonzero(side == val))
                 queries = np.flatnonzero(side != val)
-                for p, z in zip(queries.tolist(), ann_query_many(index, coords[queries]).tolist()):
-                    d = float(np.linalg.norm(coords[p] - coords[z]))
-                    cand = (d, min(p, z), max(p, z))
-                    t = int(comp[p])
-                    if t not in best or cand < best[t]:
-                        best[t] = cand
-        if len(best) != len(roots):
+                found.append((queries, ann_query_many(index, coords[queries])))
+        p, z = (np.concatenate(col) for col in zip(*found))
+        d, lo, hi = _norms(coords[p] - coords[z]), np.minimum(p, z), np.maximum(p, z)
+        # each component's least (length, lower id, higher id) edge
+        pick = np.lexsort((hi, lo, d, comp[p]))
+        pick = pick[_heads(comp[p[pick]])]
+        if pick.size != roots.size:
             raise AssertionError("a component found no outgoing edge")
-        for d, u, v in sorted(best.values()):
-            if dsu.union(u, v):
-                edges.append((u, v, d))
+        for i in pick[np.lexsort((hi[pick], lo[pick], d[pick]))].tolist():
+            if dsu.union(int(lo[i]), int(hi[i])):
+                edges.append((int(lo[i]), int(hi[i]), float(d[i])))
     return MinMaxTree(n=n, edges=edges)
 
 
@@ -500,7 +503,7 @@ def _point_diameter_bound(coords: np.ndarray) -> float:
     """Twice the largest distance from the first point; a ValueError when
     the distances overflow float64."""
     with np.errstate(over="ignore"):  # an overflow reads inf, rejected below
-        bound = 2.0 * float(np.max(np.linalg.norm(coords - coords[0], axis=1)))
+        bound = 2.0 * float(np.max(_norms(coords - coords[0])))
     if math.isinf(bound):
         raise ValueError("point distances overflow float64")
     return bound

@@ -278,13 +278,13 @@ def test_points_at_overflowing_distance_are_exit_2(tmp_path, capsys, flags):
 
 
 def test_point_matrix_is_built_row_by_row():
-    """Equal, bit for bit, to the n x n x d difference-tensor form, which it
-    never holds: the heap peak stays under four n x n matrices."""
+    """Equal, bit for bit, to the 1-D norm of each pair's difference, and
+    never holding an n x n x d difference tensor: the heap peak stays under
+    four n x n matrices."""
     rng = np.random.default_rng(31)
     for d in (1, 2, 7, 20, 64):
         coords = rng.uniform(-1.0, 1.0, size=(50, d)) * 10.0 ** float(rng.integers(-6, 7))
-        diff = coords[:, None, :] - coords[None, :, :]
-        want = np.sqrt((diff * diff).sum(axis=2))
+        want = np.array([[np.linalg.norm(x - y) for y in coords] for x in coords])
         assert _point_matrix(coords).tobytes() == want.tobytes()
     n = 300
     coords = rng.uniform(size=(n, 64))

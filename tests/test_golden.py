@@ -21,7 +21,10 @@ radii), approx_r_net_points (points, selection deltas) at two radii and the
 approx_minmax_tree edges, on four seeded point sets over three eps values.
 They were recorded from the dict-of-bytes bucket tables and the one query at
 a time min-max tree; the "decades" digest, the only one whose greedy jumps
-levels, from per-level scipy components of the min-max tree.
+levels, from per-level scipy components of the min-max tree.  The
+"uniform20", "clusters" and "decades" digests were re-recorded when every
+point distance moved to points._norms, which rounds some lengths one ulp
+away from np.linalg.norm(D, axis=1); the 1-D "line" digest did not move.
 
 The net digests pin the graph r_net (points, selection deltas, update count
 and the cover field's bytes) at three radii over a seeded order, each on a
@@ -290,10 +293,10 @@ POINTS = {
     "decades": _decades,
 }
 POINTS_GOLDEN = {
-    "uniform20": "dee9b2e19bb99ff9c574ee0dd50cb38d09f2754a4953d1ac49a31d523e834e9b",
+    "uniform20": "aab54a381a559d4bf6e053f4fe1f4a5a6ab717e6fa811c38b5c1b10f2877f672",
     "line": "a89c77a18faa68e85a9bd39ca7ec868127d615a8dea5f0a91285dcf3c96f74fc",
-    "clusters": "243a2f1b6722f6dfafb1de2eb45b155aabb1b36d436352ef135ec93cac3448f3",
-    "decades": "d733f078d5a9140d622b6f0ec9d09e90b1d1a03ee731ee0cd3986791475009c5",
+    "clusters": "41e1a3060023433ac827e3a883a0e9ed06359233572ff250e69f37c4498ff9ac",
+    "decades": "efa5e82d090125900c04275c2434b182a1907afe67cdb861eed2d2f325f8524d",
 }
 
 

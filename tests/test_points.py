@@ -379,6 +379,52 @@ def test_minmax_all_pairs_bottleneck_bound():
             assert tree.bottleneck(u, v) <= (1.0 + eps) * exact[u, v] + 1e-12
 
 
+def _boruvka_pair_by_pair(coords):
+    """Boruvka over exact distances, one pair at a time: in each stage, each
+    component keeps its least (length, lower id, higher id) outgoing edge in
+    a dict, and the stage joins the kept edges in sorted order."""
+    n = len(coords)
+    label = list(range(n))
+    edges = []
+    while len(set(label)) > 1:
+        best = {}
+        for p in range(n):
+            for q in range(n):
+                if label[p] != label[q]:
+                    cand = (float(np.linalg.norm(coords[p] - coords[q])), min(p, q), max(p, q))
+                    if label[p] not in best or cand < best[label[p]]:
+                        best[label[p]] = cand
+        for d, u, v in sorted(best.values()):
+            if label[u] != label[v]:
+                old = label[v]
+                label = [label[u] if x == old else x for x in label]
+                edges.append((u, v, d))
+    return edges
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_minmax_tree_stage_keeps_the_least_edge_and_joins_in_order(monkeypatch, seed):
+    """With an exact nearest neighbour that breaks ties toward the smallest
+    id, the tree is exactly the pair-by-pair Boruvka's, edge order included.
+    Lattice points tie on many lengths, and one edge is found from both of
+    its sides, so the tie rule (length, lower id, higher id) decides."""
+    calls = []
+
+    def exact(index, qs):
+        calls.append(len(qs))
+        return np.array([min((float(np.linalg.norm(index.coords[i] - q)), i) for i in index.ids)[1]
+                         for q in qs])
+
+    monkeypatch.setattr(points, "ann_query_many", exact)
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 2
+    lattice = np.stack(np.meshgrid(*[np.arange(3.0)] * d), axis=-1).reshape(-1, d)
+    coords = rng.permutation(lattice)[:rng.integers(6, len(lattice) + 1)]
+    tree = approx_minmax_tree(PointSet(coords), 0.5, seed=seed)
+    assert calls
+    assert tree.edges == _boruvka_pair_by_pair(coords)
+
+
 def test_minmax_guards():
     with pytest.raises(ValueError):
         approx_minmax_tree(PointSet(np.zeros((1, 2))), 0.5, seed=0)
@@ -584,14 +630,14 @@ def test_spread_free_points_greedy_budget_counts_run_levels_and_jumps(monkeypatc
 def test_bounded_greedy_mask_equals_marking_by_each_selection(scale):
     """The bounded variant marks a level's candidates with to_sel <= c*r.
     That is the mask the sweep built by marking around every prior
-    selection one at a time, bit for bit: to_sel is the minimum of the same
-    row norms."""
+    selection one at a time, bit for bit: both take their row lengths from
+    points._norms."""
     rng = np.random.default_rng(23)
     coords = rng.uniform(size=(400, 20)) * scale
     selected = rng.choice(400, size=60, replace=False)
     to_sel = np.full(400, INF)
     for v in selected:
-        to_sel = np.minimum(to_sel, np.linalg.norm(coords - coords[v], axis=1))
+        to_sel = np.minimum(to_sel, points._norms(coords - coords[v]))
     cand = np.setdiff1d(np.arange(400), selected)
     sub = coords[cand]
     c = math.sqrt(1.5)
@@ -599,7 +645,7 @@ def test_bounded_greedy_mask_equals_marking_by_each_selection(scale):
     for r in np.quantile(to_sel[cand], [0.0, 0.1, 0.5, 0.9, 1.0], method="lower") / c:
         ref = np.zeros(cand.size, dtype=bool)
         for m in selected:
-            ref |= np.linalg.norm(sub - coords[m], axis=1) <= c * r
+            ref |= points._norms(sub - coords[m]) <= c * r
         np.testing.assert_array_equal(to_sel[cand] <= c * r, ref)
         assert 0 < ref.sum() <= cand.size
 

@@ -149,7 +149,7 @@ def test_point_net_deltas_are_the_distances_to_earlier_selections(coords, frac, 
     r = frac * max(float(np.ptp(coords)), 1.0)
     net = approx_r_net_points(PointSet(coords), r, eps, seed)
     sel = [int(v) for v in net.points]
-    want = [float(np.linalg.norm(coords[sel[:i]] - coords[x], axis=1).min()) if i else np.inf
+    want = [min((float(np.linalg.norm(coords[y] - coords[x])) for y in sel[:i]), default=np.inf)
             for i, x in enumerate(sel)]
     assert net.selection_deltas == want
     # covering within (1 + eps) r is deterministic
