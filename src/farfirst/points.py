@@ -161,7 +161,7 @@ class HashFamily:
 # Odd multipliers that fold a group of bucket keys into one integer; fixed, so
 # the tables are a function of the keys alone.  A group has at most 64 keys.
 _FOLD = np.random.default_rng(0x5EED).integers(0, 2**62, size=64) * 2 + 1
-_PAIR_CHUNK = 1 << 16  # (query, bucket entry) pairs gathered at once
+_PAIR_CHUNK = 1 << 16  # (query, bucket entry) or (query, point) pairs at once
 _KEY_BLOCK = 1 << 20   # query keys hashed at once
 _NO_ID = np.iinfo(np.int64).max
 
@@ -223,21 +223,33 @@ class _BucketTables:
         self.row = entry % n
         self.packed = _pack(self.keys.transpose(1, 0, 2).reshape(k * n, group))[entry]
 
-    def mates(self, qkeys: np.ndarray):
-        """Yield (query, row) arrays of bucket mates of the m queries with
-        keys qkeys (m, k, group), in non-empty chunks of about _PAIR_CHUNK
-        pairs; the pairs of one chunk are distinct and sorted."""
-        n, k, group = self.keys.shape
+    def probe(self, qkeys: np.ndarray):
+        """Find the buckets of the m queries with keys qkeys (m, k, group).
+
+        Returns (lo, cnt, qpacked): query q's bucket in table j is the
+        cnt[q, j] sorted entries from lo[q, j], so cnt.sum(axis=1) is each
+        query's probe size in raw entries, fold collisions included; qpacked
+        holds the key rows in slot q*k + j for mates to check.
+        """
+        m, k, group = qkeys.shape
         qt = _tagged(qkeys).ravel()  # slot q*k + j
         lo = np.searchsorted(self.tagged, qt, "left")
         cnt = np.searchsorted(self.tagged, qt, "right") - lo
         narrow = qkeys.astype(self.keys.dtype).reshape(qt.size, group)
         # a key row outside the tables' dtype matches no entry
         cnt[(narrow != qkeys.reshape(qt.size, group)).any(axis=1)] = 0
-        qpacked = _pack(narrow)
+        return lo.reshape(m, k), cnt.reshape(m, k), _pack(narrow)
+
+    def mates(self, lo: np.ndarray, cnt: np.ndarray, qpacked: np.ndarray):
+        """Yield (query, row) arrays of the bucket mates of the queries that
+        probe found, in non-empty chunks of about _PAIR_CHUNK pairs; the
+        pairs of one chunk are distinct and sorted.  A query whose row of
+        cnt the caller zeroed is not expanded."""
+        n, k, _ = self.keys.shape
+        lo, cnt = lo.ravel(), cnt.ravel()
         ends = np.cumsum(cnt)
         start, base = 0, 0
-        while start < qt.size:
+        while start < cnt.size:
             stop = max(start + 1, int(np.searchsorted(ends, base + _PAIR_CHUNK, "right")))
             c = cnt[start:stop]
             slot = np.repeat(np.arange(start, stop), c)
@@ -269,7 +281,7 @@ def _lsh_net_sweep(coords: np.ndarray, ids, r: float, c: float,
         if marked[row]:
             continue
         selected.append(x)
-        for _, rows in tables.mates(tables.keys[row:row + 1]):  # x is its own mate
+        for _, rows in tables.mates(*tables.probe(tables.keys[row:row + 1])):  # x is its own mate
             marked[rows[_norms(sub[rows] - coords[x]) <= c * r]] = True
     return selected
 
@@ -379,21 +391,37 @@ def ann_query(index: AnnIndex, q: np.ndarray) -> int:
     return int(ann_query_many(index, np.asarray(q, dtype=np.float64)[None, :])[0])
 
 
+def _nearest(coords: np.ndarray, ids: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """For each row of qs, the least (distance, id) point over ids, by an
+    exact scan in chunks of about _PAIR_CHUNK (query, point) pairs."""
+    out = np.empty(qs.shape[0], dtype=np.int64)
+    if not out.size:
+        return out
+    ids = np.sort(ids)  # so the first minimum is the least id at that distance
+    sub = coords[ids]
+    step = max(1, _PAIR_CHUNK // ids.size)
+    for lo in range(0, qs.shape[0], step):
+        out[lo:lo + step] = ids[_norms(sub - qs[lo:lo + step, None, :]).argmin(axis=1)]
+    return out
+
+
 def ann_query_many(index: AnnIndex, qs: np.ndarray) -> np.ndarray:
     """ann_query for each row of qs (m x d), as an array of ids.
 
     Walks the ladder bottom-up over the queries still live, so a rung is
-    built only once some query reaches it; a query's answer is the first
-    minimum by (distance, id) over its bucket mates, it improves on an
-    earlier rung's only when strictly closer, and it is accepted once it
-    lies within (2c/(1+c)) * delta_j, which caps it at c * true-NN.  A query
-    that exhausts the ladder falls back to a linear scan.
+    built only once some query reaches it.  A query whose probe at a rung
+    would examine at least as many bucket entries as the index holds points
+    is answered there by an exact scan of the index, which costs no more,
+    and leaves the ladder.  Otherwise its answer is the least (distance, id)
+    over its bucket mates, it improves on an earlier rung's only when
+    strictly closer, and it is accepted once it lies within
+    (2c/(1+c)) * delta_j, which caps it at c * true-NN.  A query that
+    exhausts the ladder (an index of one point has no rungs) is scanned
+    too; a scan answers the least (distance, id) over the index.
     """
     qs = np.asarray(qs, dtype=np.float64)
     coords, ids = index.coords, np.asarray(index.ids)
     m = qs.shape[0]
-    if ids.size == 1:
-        return np.full(m, ids[0])
     accept = 2.0 * index.c / (1.0 + index.c)
     best_id = np.full(m, -1, dtype=np.int64)
     best_d = np.full(m, np.inf)
@@ -404,9 +432,14 @@ def ann_query_many(index: AnnIndex, qs: np.ndarray) -> np.ndarray:
         delta_j, fam, tables = index.rungs[j]
         rung_id = np.full(live.size, -1, dtype=np.int64)
         rung_d = np.full(live.size, np.inf)
+        scan = np.zeros(live.size, dtype=bool)
         block = max(1, _KEY_BLOCK // (fam.k * fam.group))
         for lo in range(0, live.size, block):
-            for q, rows in tables.mates(fam.hash_points(qs[live[lo:lo + block], None, :])):
+            first, cnt, qpacked = tables.probe(fam.hash_points(qs[live[lo:lo + block], None, :]))
+            over = cnt.sum(axis=1) >= ids.size
+            scan[lo:lo + over.size] = over
+            cnt[over] = 0
+            for q, rows in tables.mates(first, cnt, qpacked):
                 q += lo
                 cand = ids[rows]
                 dist = _norms(coords[cand] - qs[live[q]])
@@ -422,9 +455,9 @@ def ann_query_many(index: AnnIndex, qs: np.ndarray) -> np.ndarray:
                 rung_id[q[better]], rung_d[q[better]] = cand[better], dist[better]
         won = rung_d < best_d[live]
         best_id[live[won]], best_d[live[won]] = rung_id[won], rung_d[won]
-        live = live[best_d[live] > accept * delta_j]
-    for i in live:
-        best_id[i] = ids[int(np.argmin(_norms(coords[ids] - qs[i])))]
+        best_id[live[scan]] = _nearest(coords, ids, qs[live[scan]])
+        live = live[~scan & (best_d[live] > accept * delta_j)]
+    best_id[live] = _nearest(coords, ids, qs[live])
     return best_id
 
 

@@ -7,10 +7,10 @@ graph nets and k-center, the Euclidean lane, planar counting and selection,
 the treewidth greedy, planar counting on wider inputs (real and zero
 weights, trees, series-parallel graphs, 300 vertices, an oracle with
 eps > 0), the point greedies on clustered sets spanning several
-decades, and the decomposition structures (planar patch trees, parsed and
-corrupted tree decompositions, restricted partitions).  Every input is
-written in its text format and read back through the library's parser, so
-the readers are covered too.
+decades, the decomposition structures (planar patch trees, parsed and
+corrupted tree decompositions, restricted partitions), and approximate
+nearest-neighbour answers.  Every input is written in its text format and
+read back through the library's parser, so the readers are covered too.
 Running the command against two checkouts and comparing the lines shows
 whether a change kept every output byte for byte.  Only public functions
 and their required arguments are used, so the command runs against older
@@ -33,8 +33,9 @@ from farfirst.greedy import (approx_greedy, approx_greedy_bounded_spread, exact_
 from farfirst.oracles import apsp_exact
 from farfirst.planar import (DistanceOracle, build_hd, count_short_pairs, exact_oracle,
                              select_kth_distance)
-from farfirst.points import (approx_greedy_points, approx_greedy_points_bounded_spread,
-                             approx_minmax_tree, approx_r_net_points, parse_points)
+from farfirst.points import (ann_build, ann_query_many, approx_greedy_points,
+                             approx_greedy_points_bounded_spread, approx_minmax_tree,
+                             approx_r_net_points, parse_points)
 from farfirst.treewidth import (exact_greedy_treewidth, parse_tree_decomposition,
                                 restricted_partition)
 
@@ -179,6 +180,36 @@ def lane_points_wide():
     return runs
 
 
+def lane_ann():
+    """ann_query_many answers on seeded indexes over uniform, clustered and
+    lattice points (exact ties) and a single point, with ascending, shuffled
+    and partial ids, for queries inside the points' box, on the points, and
+    far outside, where the ladder runs out."""
+    runs = []
+    for seed in range(6):
+        rng = np.random.default_rng([22, seed])
+        n, d = int(rng.integers(2, 150)), int(rng.integers(1, 9))
+        sets = {"uniform": rng.random((n, d)),
+                "clustered": _clusters(rng, (1.0, 0.05, 0.002, 1e-4), d),
+                "lattice": rng.integers(0, 4, size=(n, d)).astype(float),
+                "single": rng.random((1, d))}
+        for name, coords in sets.items():
+            pts = parse_points(_point_text(coords))
+            m, lo, hi = pts.n, coords.min(axis=0), coords.max(axis=0)
+            inside = lo + (hi - lo) * rng.random((20, d))
+            if name == "lattice":
+                inside = np.round(2.0 * inside) / 2.0  # half-integers tie between points
+            far = hi + 100.0 * (1.0 + hi - lo) * rng.random((4, d))
+            qs = np.vstack([inside, coords[rng.integers(0, m, 6)], far])
+            part = rng.permutation(m)[:max(1, 2 * m // 3)]
+            for order, ids in (("ascending", range(m)), ("shuffled", rng.permutation(m)),
+                               ("part", part), ("part_sorted", np.sort(part))):
+                for c in (1.25, 2.0):
+                    index = ann_build(pts, c, seed, ids=ids)
+                    runs.append([seed, name, order, c, [int(x) for x in ann_query_many(index, qs)]])
+    return runs
+
+
 def lane_planar():
     runs = []
     graphs = [(f"delaunay{seed}", delaunay_graph(int(n), np.random.default_rng([15, seed])))
@@ -315,7 +346,7 @@ def lane_decomp():
 LANES = {"graph_greedy": lane_graph_greedy, "net_kcenter": lane_net_kcenter,
          "points": lane_points, "planar": lane_planar, "treewidth": lane_treewidth,
          "planar_wide": lane_planar_wide, "points_wide": lane_points_wide,
-         "decomp": lane_decomp}
+         "decomp": lane_decomp, "ann": lane_ann}
 
 
 def main() -> None:

@@ -170,7 +170,8 @@ def _reference_mates(tables, qkeys):
 
 def _array_mates(keys, qkeys):
     found = [set() for _ in range(qkeys.shape[0])]
-    for q, rows in points._BucketTables(keys).mates(qkeys):
+    tables = points._BucketTables(keys)
+    for q, rows in tables.mates(*tables.probe(qkeys)):
         assert np.all(np.diff(q * keys.shape[0] + rows) > 0)  # distinct, sorted
         for i, row in zip(q.tolist(), rows.tolist()):
             found[i].add(row)
@@ -307,6 +308,75 @@ def test_ann_query_many_ties_go_to_smallest_id():
     idx = ann_build(coords, c=1.5, seed=25, ids=range(11, -1, -1))
     qs = np.vstack([coords[7], coords[7] + 1e-6, coords[0]])
     assert ann_query_many(idx, qs).tolist() == [2, 2, 0]
+
+
+@pytest.mark.parametrize("ids", [[1, 0], [0, 1]])
+@pytest.mark.parametrize("seed", range(5))
+def test_ann_scan_ties_go_to_smallest_id(ids, seed):
+    """A query far from both points exhausts the ladder; the scan then
+    breaks the tie toward the smaller id, whatever the order of ids."""
+    idx = ann_build(np.array([[-1.0, 0.0], [1.0, 0.0]]), c=1.5, seed=seed, ids=ids)
+    assert ann_query(idx, np.array([0.0, 100.0])) == 0
+
+
+def _watch_ann(monkeypatch):
+    """Wrap the probe expansion and the scan: every query that mates expands
+    must have fewer raw bucket entries than the index has points.  Returns
+    the lists of expanded probe sizes and of scanned query rows."""
+    expanded, scanned = [], []
+    mates, nearest = points._BucketTables.mates, points._nearest
+
+    def checked_mates(self, lo, cnt, qpacked):
+        size = cnt.sum(axis=1)
+        assert np.all(size < self.keys.shape[0])
+        expanded.extend(size[size > 0].tolist())
+        return mates(self, lo, cnt, qpacked)
+
+    def recorded_nearest(coords, ids, qs):
+        scanned.extend(map(bytes, qs))
+        return nearest(coords, ids, qs)
+
+    monkeypatch.setattr(points._BucketTables, "mates", checked_mates)
+    monkeypatch.setattr(points, "_nearest", recorded_nearest)
+    return expanded, scanned
+
+
+@pytest.mark.parametrize("small_blocks", [False, True])
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_ann_scanned_answers_are_the_least_distance_then_id(monkeypatch, small_blocks, shuffle):
+    """On 120 points in 20 dimensions most probes would examine the whole
+    class, so those queries are scanned; their answers are the brute-force
+    least (distance, id), ties from duplicate points included, whether the
+    scan runs in one block or one query at a time."""
+    if small_blocks:
+        monkeypatch.setattr(points, "_KEY_BLOCK", 1)
+        monkeypatch.setattr(points, "_PAIR_CHUNK", 7)
+    _, scanned = _watch_ann(monkeypatch)
+    rng = np.random.default_rng(33)
+    coords = rng.random((120, 20))
+    coords[[5, 40, 77]] = coords[[90, 12, 3]]  # three exact ties
+    ids = rng.permutation(120) if shuffle else np.arange(120)
+    idx = ann_build(coords, c=1.5, seed=34, ids=ids)
+    qs = np.vstack([rng.random((60, 20)), coords[[90, 12, 3]] + 1e-9, np.full((1, 20), 40.0)])
+    got = ann_query_many(idx, qs)
+    scanned = set(scanned)
+    assert len(scanned) >= 50
+    for q, answer in zip(qs, got.tolist()):
+        if bytes(q) in scanned:
+            assert answer == min((float(np.linalg.norm(coords[i] - q)), i) for i in ids)[1]
+    assert got[60:63].tolist() == [5, 12, 3]
+
+
+def test_ann_probe_path_still_answers_within_c(monkeypatch):
+    """In 3 dimensions buckets are small, so queries are answered by their
+    probes, not scanned, and every answer keeps the c bound."""
+    expanded, scanned = _watch_ann(monkeypatch)
+    rng = np.random.default_rng(31)
+    coords, qs = rng.random((300, 3)), rng.random((100, 3))
+    got = ann_query_many(ann_build(coords, c=1.5, seed=32), qs)
+    assert len(expanded) >= 100 and not scanned
+    exact = np.array([np.linalg.norm(coords - q, axis=1).min() for q in qs])
+    assert np.all(np.linalg.norm(coords[got] - qs, axis=1) <= 1.5 * exact)
 
 
 def test_ann_requires_c_above_one():
