@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, make_graph
+from .graphs import Graph, _from_columns, make_graph
 
 _DELAUNAY_SCALE = 1000  # Delaunay edge weight: Euclidean length times this, rounded
 _DROP = 0.3  # chance that a partial 2-tree or k-tree omits an optional edge
@@ -40,21 +40,21 @@ def random_connected_graph(n: int, m: int, rng: np.random.Generator,
 
 def grid_graph(rows: int, cols: int, rng: np.random.Generator | None = None,
                w_hi: int = 1) -> Graph:
-    """rows x cols grid, unit weights by default (planar)."""
-    def vid(r: int, c: int) -> int:
-        return r * cols + c
+    """rows x cols grid, unit weights by default (planar).
 
-    def weight() -> float:
-        return float(rng.integers(1, w_hi + 1)) if rng is not None and w_hi > 1 else 1.0
-
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((vid(r, c), vid(r, c + 1), weight()))
-            if r + 1 < rows:
-                edges.append((vid(r, c), vid(r + 1, c), weight()))
-    return make_graph(rows * cols, edges)
+    Vertex r * cols + c is the cell (r, c).  Cell by cell, in row-major
+    order, come its edge to the right and then its edge down, each with the
+    next weight drawn from rng.
+    """
+    ids = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+    keep = np.stack([ids % cols < cols - 1, ids < (rows - 1) * cols], axis=2)
+    u = np.stack([ids, ids], axis=2)[keep]
+    v = np.stack([ids + 1, ids + cols], axis=2)[keep]
+    if rng is not None and w_hi > 1:
+        w = np.array([float(rng.integers(1, w_hi + 1)) for _ in range(u.size)])
+    else:
+        w = np.ones(u.size)
+    return _from_columns(rows * cols, u, v, w)
 
 
 def delaunay_graph(n: int, rng: np.random.Generator) -> Graph:

@@ -6,13 +6,18 @@ is the Python heap loop shared by every net sweep and the spread-free
 greedy's truncated distances, because its pruning is what the sweep's
 amortisation counts; the planar pair tables run their own labelled heap
 (planar._patches).  The headed text formats (edge lists, points,
-decompositions) all split their header and rows with _headed.
+decompositions) all split their header and rows with _headed; the edge-list
+and point readers first try one numpy step over the rows (_array_rows) and
+return to the per-line reader for any text that step rejects.
 """
 
 from __future__ import annotations
 
 import heapq
+import io
+import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +40,7 @@ class Graph:
 
     n: int
     edges: list[tuple[int, int, float]] = field(default_factory=list)
-    _adj: list[list[tuple[int, float]]] | None = field(
+    _adj: list[tuple[tuple[int, float], ...]] | None = field(
         default=None, init=False, repr=False, compare=False)
     _csr: object | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -43,14 +48,24 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        """Adjacency lists, built once and cached."""
+    def adjacency(self) -> list[tuple[tuple[int, float], ...]]:
+        """Each vertex's (neighbour, weight) pairs in edge order, built once
+        and cached.
+
+        Tuples, not lists: the garbage collector stops tracking a tuple that
+        holds only numbers, while every list of a cached adjacency would
+        reach its oldest generation and take part in each full collection.
+        """
         if self._adj is None:
-            adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-            for u, v, w in self.edges:
-                adj[u].append((v, w))
-                adj[v].append((u, w))
-            self._adj = adj
+            u, v, w = _columns(self.edges)
+            # entry 2i is edge i seen from u, 2i+1 from v: a stable sort by
+            # endpoint keeps each vertex's pairs in edge order
+            at = np.column_stack([u, v]).ravel()
+            order = np.argsort(at, kind="stable")
+            pairs = list(zip(np.column_stack([v, u]).ravel()[order].tolist(),
+                             np.repeat(w, 2)[order].tolist()))
+            cuts = np.searchsorted(at[order], np.arange(self.n + 1)).tolist()
+            self._adj = [tuple(pairs[a:b]) for a, b in zip(cuts, cuts[1:])]
         return self._adj
 
     def csr(self):
@@ -93,17 +108,50 @@ def _csr(n: int, u, v, w):
 def make_graph(n: int, edges) -> Graph:
     """Validate and build a Graph from (u, v, w) triples."""
     out: list[tuple[int, int, float]] = []
-    for u, v, w in edges:
-        u, v, w = int(u), int(v), float(w)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not 0.0 <= w < INF:  # also false for NaN
-            kind = "negative" if w < 0.0 else "non-finite"
-            raise ValueError(f"{kind} weight {w} on edge ({u},{v})")
-        out.append((u, v, w))
+    try:
+        out.extend((int(u), int(v), float(w)) for u, v, w in edges)
+    finally:  # a bad edge before one that fails to convert is reported first
+        try:
+            i = _first_bad_edge(n, *_columns(out))
+        except OverflowError:  # an id past int64 is out of range, so some edge is bad
+            i = next(i for i, e in enumerate(out) if _edge_error(n, *e))
+        if i is not None:
+            raise ValueError(_edge_error(n, *out[i]))
     return Graph(n=n, edges=out)
+
+
+def _columns(edges: list[tuple[int, int, float]]):
+    """The u, v (int64) and w (float64) columns of a list of edges."""
+    return tuple(np.fromiter(map(itemgetter(k), edges), dtype, len(edges))
+                 for k, dtype in enumerate((np.int64, np.int64, np.float64)))
+
+
+def _from_columns(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
+    """make_graph of the edge columns u, v (int64) and w (float64)."""
+    i = _first_bad_edge(n, u, v, w)
+    if i is not None:
+        raise ValueError(_edge_error(n, int(u[i]), int(v[i]), float(w[i])))
+    return Graph(n=n, edges=list(zip(u.tolist(), v.tolist(), w.tolist())))
+
+
+def _first_bad_edge(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> int | None:
+    """Index of the first edge (u[i], v[i], w[i]) that _edge_error rejects."""
+    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
+    bad |= ~((w >= 0.0) & (w < INF))  # NaN fails both
+    return int(bad.argmax()) if bad.any() else None
+
+
+def _edge_error(n: int, u: int, v: int, w: float) -> str | None:
+    """What is wrong with edge (u, v, w), checking range, then self-loop, then
+    weight; None if nothing."""
+    if not (0 <= u < n and 0 <= v < n):
+        return f"edge ({u},{v}) out of range for n={n}"
+    if u == v:
+        return f"self-loop at vertex {u}"
+    if not 0.0 <= w < INF:  # also false for NaN
+        kind = "negative" if w < 0.0 else "non-finite"
+        return f"{kind} weight {w} on edge ({u},{v})"
+    return None
 
 
 # --- file formats ---
@@ -148,6 +196,46 @@ def _headed(text: str, name: str, what: str, header: str):
     return lineno, a, b, rows[1:]
 
 
+# Line breaks of str.splitlines that numpy's reader takes for spaces; a text
+# holding one goes to the per-line reader.
+_NUMPY_BLIND_BREAKS = "\v\f\x1c\x1d\x1e"
+_FIRST_LINE = re.compile(r"\s*([^\r\n]*)")
+
+
+def _array_rows(text: str, dtype, ndmin: int):
+    """(a, b, rows) of a headed text whose rows one np.loadtxt call reads,
+    or None.
+
+    None means the numpy step cannot vouch for the per-line reader's result:
+    a non-ASCII text, one with a line break numpy does not split at, a
+    header that is not two integers, no rows at all, or rows numpy refuses
+    (bad tokens, ragged rows).  Where it does read the rows, it splits
+    lines and fields and parses ints and floats as _headed, int() and
+    float() do, skipping the same blank lines, so the caller only has to
+    check the header and the row count.
+    """
+    if not text.isascii() or any(c in text for c in _NUMPY_BLIND_BREAKS):
+        return None
+    head = _FIRST_LINE.match(text)
+    parts = head.group(1).split()
+    if len(parts) != 2:
+        return None
+    try:
+        a, b = int(parts[0]), int(parts[1])
+    except ValueError:
+        return None
+    body = text[head.end():]
+    if not body or body.isspace():  # no rows, which np.loadtxt warns about
+        return None
+    try:
+        # newline="" splits lines at \n, \r and \r\n, as str.splitlines does
+        rows = np.loadtxt(io.StringIO(body, newline=""), dtype=dtype, comments=None,
+                          ndmin=ndmin)
+    except ValueError:
+        return None
+    return a, b, rows
+
+
 def _ints(parts, name: str, lineno: int) -> list[int]:
     """The integers spelled by parts; a bad one is an error at name:lineno."""
     try:
@@ -173,7 +261,24 @@ def parse_graph(source, fmt: str | None = None) -> Graph:
     raise ValueError(f"unknown graph format {fmt!r}")
 
 
+_EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+
+
 def _parse_edgelist(text: str, name: str) -> Graph:
+    read = _array_rows(text, _EDGE_ROW, 1)
+    if read is not None:
+        n, m, rows = read
+        if n >= 1 and m == len(rows):
+            try:
+                return _from_columns(n, rows["u"], rows["v"], rows["w"])
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+    return _edgelist_by_lines(text, name)
+
+
+def _edgelist_by_lines(text: str, name: str) -> Graph:
+    """The per-line edge-list reader: the result, or the error naming the
+    offending line, for any text the array step rejects."""
     lineno, n, m, rows = _headed(text, name, "graph file", "n m")
     if n < 1 or m < 0:
         raise ValueError(f"{name}:{lineno}: need n >= 1 and m >= 0")
@@ -235,9 +340,7 @@ def _parse_gr(text: str, name: str) -> Graph:
 def write_graph(g: Graph, path) -> None:
     """Write edge-list format ("n m" header, repr() weights round-trip)."""
     with open(path, "w") as fh:
-        fh.write(f"{g.n} {g.m}\n")
-        for u, v, w in g.edges:
-            fh.write(f"{u} {v} {w!r}\n")
+        fh.write(f"{g.n} {g.m}\n" + "".join(f"{u} {v} {w!r}\n" for u, v, w in g.edges))
 
 
 # --- shortest paths ---
@@ -265,8 +368,9 @@ def dijkstra_truncated(g: Graph, sources, cutoff: float) -> dict[int, float]:
 def pruned_dijkstra_relax(adj, sources, delta, cutoff: float = INF) -> int:
     """Zero the sources' delta and relax outward, pruning non-improving pushes.
 
-    `adj[u]` lists the (neighbour, weight) pairs of vertex u (a list of lists
-    or a dict), and `delta` is any indexable float sequence, lowered in place;
+    `adj[u]` holds the (neighbour, weight) pairs of vertex u (a list of
+    tuples, as Graph.adjacency gives, or a dict of lists), and `delta` is
+    any indexable float sequence, lowered in place;
     the hot paths pass a plain list, whose element reads and writes cost a
     fraction of a numpy scalar's.  A vertex enters the heap only when its
     tentative distance beats its delta and is at most the cutoff, so delta

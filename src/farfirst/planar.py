@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, is_connected
+from .graphs import DisjointSets, Graph, is_connected
 from .greedy import _check_levels, _check_positive
 # Not called here: importable from this module because perfbench/spans.py
 # traces it under the name planar.oracle_rows.
@@ -108,6 +108,18 @@ def _split_patch(adj, patch: list[int]) -> tuple[list[int], list[int]]:
     return sorted(side_a), sorted(side_b)
 
 
+def _check_planar_input(g: Graph) -> None:
+    """Reject a graph that cannot be planar or is not connected.  Parallel
+    edges are kept by Graph, so a simple planar graph's bound 3n-6 applies to
+    the distinct vertex pairs joined by an edge."""
+    pairs = g.csr().nnz // 2
+    if g.n >= 3 and pairs > 3 * g.n - 6:
+        raise ValueError(f"declared-planar violation: {pairs} distinct edges > "
+                         f"3n-6 = {3 * g.n - 6}")
+    if not is_connected(g):
+        raise ValueError("graph must be connected")
+
+
 def build_hd(g: Graph) -> HierarchicalDecomposition:
     """Balanced binary patch tree over the vertices of a declared-planar graph.
 
@@ -115,10 +127,7 @@ def build_hd(g: Graph) -> HierarchicalDecomposition:
     single vertices.  Boundary vertices (those with a neighbor outside the
     patch) are recorded per node for the counting stage.
     """
-    if g.n >= 3 and g.m > 3 * g.n - 6:
-        raise ValueError(f"declared-planar violation: {g.m} edges > 3n-6 = {3 * g.n - 6}")
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
+    _check_planar_input(g)
     adj = g.adjacency()
     nodes: list[HDNode] = []
     queue: list[tuple[int, list[int]]] = []
@@ -375,20 +384,37 @@ def count_short_pairs(g: Graph, hd: HierarchicalDecomposition, r: float,
     return alpha
 
 
+def _zero_distance_pairs(g: Graph) -> int:
+    """The number of vertex pairs at distance 0: those joined by a path of
+    zero-weight edges, s(s-1)/2 over the classes of s such vertices."""
+    dsu = DisjointSets(g.n)
+    for u, v, w in g.edges:
+        if w == 0.0:
+            dsu.union(u, v)
+    size = np.bincount([dsu.find(x) for x in range(g.n)])
+    return int((size * (size - 1) // 2).sum())
+
+
 def select_kth_distance(g: Graph, k: int, eps: float,
                         hd: HierarchicalDecomposition | None = None,
                         oracle: DistanceOracle | None = None) -> tuple[float, float]:
     """(alpha, factor) with the k-th smallest pairwise distance in
     [alpha, factor * alpha], factor = (3 + eps)(1 + eps).
 
-    Binary search for the smallest radius on the geometric grid
-    {w_min (1+eps)^j} whose count reaches k; its grid predecessor certifies
-    the lower end of the bracket.
+    When k is at most the number of pairs at distance 0, the k-th distance
+    is 0 and alpha is 0.  Otherwise the k-th distance is at least the least
+    positive weight w_min: binary search for the smallest radius on the
+    geometric grid {w_min (1+eps)^j} whose count reaches k; its grid
+    predecessor certifies the lower end of the bracket.
     """
     _check_positive("eps", eps)
     npairs = g.n * (g.n - 1) // 2
     if not 1 <= k <= npairs:
         raise ValueError(f"k must be in [1, {npairs}]")
+    factor = (3.0 + eps) * (1.0 + eps)
+    if k <= _zero_distance_pairs(g):
+        _check_planar_input(g)
+        return 0.0, factor
     w_min = g.min_weight()
     top = g.n * g.max_weight()
     _check_levels(eps, 1.0 + eps, top, w_min)
@@ -408,4 +434,4 @@ def select_kth_distance(g: Graph, k: int, eps: float,
             hi = mid
         else:
             lo = mid + 1
-    return grid[lo] / (1.0 + eps), (3.0 + eps) * (1.0 + eps)
+    return grid[lo] / (1.0 + eps), factor

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DisjointSets, Graph, KruskalTree, _headed, read_input
+from .graphs import DisjointSets, Graph, KruskalTree, _array_rows, _headed, read_input
 from .greedy import MAX_LEVELS, GreedyPermutation, Net, _check_positive, _check_ratio, _level_count
 
 __all__ = [
@@ -62,6 +62,17 @@ class PointSet:
 def parse_points(source) -> PointSet:
     """Read a point file: header "n d", then n coordinate rows."""
     name, text = read_input(source, "point file")
+    read = _array_rows(text, np.float64, 2)
+    if read is not None:
+        n, d, coords = read
+        if n >= 1 and d >= 1 and coords.shape == (n, d):
+            return PointSet(coords)
+    return _points_by_lines(text, name)
+
+
+def _points_by_lines(text: str, name: str) -> PointSet:
+    """The per-line point reader: the result, or the error naming the
+    offending line, for any text the array step rejects."""
     lineno, n, d, rows = _headed(text, name, "point file", "n d")
     if n < 1 or d < 1:
         raise ValueError(f"{name}:{lineno}: need n >= 1 and d >= 1")
@@ -80,9 +91,8 @@ def parse_points(source) -> PointSet:
 
 def write_points(pts: PointSet, path) -> None:
     with open(path, "w") as fh:
-        fh.write(f"{pts.n} {pts.d}\n")
-        for row in pts.coords:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+        fh.write(f"{pts.n} {pts.d}\n"
+                 + "".join(" ".join(map(repr, row)) + "\n" for row in pts.coords.tolist()))
 
 
 _DUPLICATES = "duplicate points (infinite spread)"

@@ -9,8 +9,10 @@ weights, trees, series-parallel graphs, 300 vertices, an oracle with
 eps > 0), the point greedies on clustered sets spanning several
 decades, the decomposition structures (planar patch trees, parsed and
 corrupted tree decompositions, restricted partitions), and approximate
-nearest-neighbour answers.  Every input is written in its text format and
-read back through the library's parser, so the readers are covered too.
+nearest-neighbour answers, and the edge-list and point readers on texts
+with mixed whitespace, blank lines and several spellings of each float.
+Every input is written in its text format and read back through the
+library's parser, so the readers are covered too.
 Running the command against two checkouts and comparing the lines shows
 whether a change kept every output byte for byte.  Only public functions
 and their required arguments are used, so the command runs against older
@@ -343,10 +345,68 @@ def lane_decomp():
     return runs
 
 
+_GAPS = (" ", "  ", "\t", " \t ")
+
+
+def _spell(x: float, rng: np.random.Generator, odd: float) -> str:
+    """x as repr, a short float, an exponent form, with a plus sign, or as an
+    integer where exact; with chance odd, with a digit-group underscore or a
+    no-break space before it, which only the per-line reading accepts."""
+    forms = [repr(x), f"{x:.3g}", f"{x:.6e}", f"{x:+.4f}"]
+    if x == int(x):
+        forms.append(str(int(x)))
+    out = forms[int(rng.integers(len(forms)))]
+    draw = rng.random()
+    if draw < odd / 2 and out[:1].isdigit() and out[1:2].isdigit():
+        out = out[0] + "_" + out[1:]
+    elif draw < odd:
+        out = "\xa0" + out
+    return out
+
+
+def _spaced(header, rows, rng: np.random.Generator) -> str:
+    """A header line, then rows of tokens split by runs of spaces and tabs,
+    with blank and whitespace-only lines, all ending in LF, CRLF or CR."""
+    end = ("\n", "\r\n", "\r")[int(rng.integers(3))]
+    lines = []
+    for row in rows:
+        while rng.random() < 0.08:
+            lines.append(_GAPS[int(rng.integers(len(_GAPS)))] if rng.random() < 0.5 else "")
+        lead = _GAPS[int(rng.integers(len(_GAPS)))] if rng.random() < 0.15 else ""
+        gaps = [""] + [_GAPS[int(rng.integers(len(_GAPS)))] for _ in row[1:]]
+        lines.append(lead + "".join(gap + tok for gap, tok in zip(gaps, row)))
+    return " ".join(header) + "\n" + end.join(lines) + (end if rng.random() < 0.7 else "")
+
+
+def lane_reader():
+    """parse_graph and parse_points on seeded valid texts with mixed
+    whitespace, blank lines and LF, CRLF or CR line ends, whose weights and
+    coordinates are spelled as repr, short, exponent and integer floats.
+    A quarter of the texts hold a spelling that only the per-line reading
+    accepts."""
+    runs = []
+    for seed in range(40):
+        rng = np.random.default_rng([26, seed])
+        odd = 0.05 if seed % 4 == 3 else 0.0
+        n = int(rng.integers(2, 3000 if seed % 10 == 0 else 60))
+        g = random_connected_graph(n, int(rng.integers(n - 1, 3 * n)), rng)
+        rows = [[str(u), str(v), _spell(0.0 if rng.random() < 0.1
+                                        else w * 10.0 ** float(rng.uniform(-8.0, 8.0)), rng, odd)]
+                for u, v, w in g.edges]
+        h = parse_graph(_spaced([str(n), str(len(rows))], rows, rng))
+        runs.append([seed, "graph", h.n, [[u, v, float(w).hex()] for u, v, w in h.edges]])
+        d = int(rng.integers(1, 6))
+        coords = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 7, size=(n, d))
+        rows = [[_spell(float(x), rng, odd) for x in row] for row in coords]
+        pts = parse_points(_spaced([str(n), str(d)], rows, rng))
+        runs.append([seed, "points", [[float(x).hex() for x in row] for row in pts.coords]])
+    return runs
+
+
 LANES = {"graph_greedy": lane_graph_greedy, "net_kcenter": lane_net_kcenter,
          "points": lane_points, "planar": lane_planar, "treewidth": lane_treewidth,
          "planar_wide": lane_planar_wide, "points_wide": lane_points_wide,
-         "decomp": lane_decomp, "ann": lane_ann}
+         "decomp": lane_decomp, "ann": lane_ann, "reader": lane_reader}
 
 
 def main() -> None:

@@ -166,6 +166,23 @@ def test_select_path4(files, capsys):
     assert factor == pytest.approx(3.1 * 1.1)
 
 
+def test_select_zero_kth_distance(tmp_path, capsys):
+    p = tmp_path / "zero_edge.edg"
+    p.write_text("3 2\n0 1 0\n1 2 5\n")
+    assert main(["select", "--graph", str(p), "--planar", "-k", "1", "--witness"]) == 0
+    assert capsys.readouterr().out == "0.0 5.25 0.0\n"
+    p.write_text("3 2\n0 1 0\n1 2 0\n")
+    assert main(["select", "--graph", str(p), "--planar", "-k", "3"]) == 0
+    assert capsys.readouterr().out == "0.0 5.25\n"
+
+
+def test_count_planar_multigraph(tmp_path, capsys):
+    p = tmp_path / "triangle2.edg"
+    p.write_text("3 4\n0 1 1\n1 2 1\n0 2 1\n1 0 2\n")
+    assert main(["count", "--graph", str(p), "--planar", "-r", "1", "--witness"]) == 0
+    assert capsys.readouterr().out == "3 3 3\n"
+
+
 # --- plumbing ---
 
 

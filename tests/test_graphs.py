@@ -1,5 +1,6 @@
 """Graph parsing, shortest paths, and the pruned relaxation primitive."""
 
+import gc
 import math
 
 import numpy as np
@@ -69,6 +70,28 @@ def test_write_read_round_trip(tmp_path):
     back = parse_graph(p)
     assert back.n == g.n
     assert back.edges == g.edges  # repr round-trips floats bit-exactly
+
+
+def test_adjacency_matches_per_edge_appends():
+    """Graph.adjacency against appending each edge to both endpoints' lists,
+    on multigraphs with parallel edges, zero weights and isolated vertices.
+    The collector stops tracking a tuple whose items it no longer tracks, one
+    level of nesting per pass, so after two passes no per-vertex tuple is
+    left for a full collection to walk."""
+    rng = np.random.default_rng(28)
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        edges = [(int(a), int(b), float(rng.choice([0.0, 1.0, 2.5])))
+                 for a, b in rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2)) if a != b]
+        g = make_graph(n, edges)
+        ref = [[] for _ in range(n)]
+        for u, v, w in g.edges:
+            ref[u].append((v, w))
+            ref[v].append((u, w))
+        assert [list(pairs) for pairs in g.adjacency()] == ref
+    gc.collect()
+    gc.collect()
+    assert not any(gc.is_tracked(pairs) for pairs in g.adjacency())
 
 
 def test_parse_gr_format(tmp_path):

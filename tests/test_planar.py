@@ -76,6 +76,18 @@ def test_hd_rejects_too_many_edges():
         build_hd(complete_graph(6))
 
 
+def test_hd_counts_distinct_pairs_so_parallel_edges_pass():
+    # a triangle with one doubled edge: 4 edges, but 3 = 3n-6 distinct pairs
+    g = make_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (1, 0, 2.0)])
+    hd = build_hd(g)
+    _check_hd(g, hd)
+    assert count_short_pairs(g, hd, 1.0, 0.5, exact_oracle(g)) == 3
+    # K6 with every edge doubled is still 15 distinct pairs > 12
+    k6 = complete_graph(6)
+    with pytest.raises(ValueError, match="declared-planar violation: 15 distinct edges"):
+        build_hd(make_graph(6, k6.edges + [(v, u, w) for u, v, w in k6.edges]))
+
+
 def test_hd_delaunay_valid():
     rng = np.random.default_rng(0)
     g = delaunay_graph(80, rng)
@@ -423,6 +435,34 @@ def test_select_all_k_bracketed():
         alpha, factor = select_kth_distance(g, k, 0.5, hd=hd, oracle=orc)
         true = exact_select(dm, k)
         assert alpha <= true <= factor * alpha, (k, alpha, true)
+
+
+def test_select_kth_distance_zero():
+    # 0-1 at weight 0, 1-2 at weight 5: distances 0, 5, 5
+    g = make_graph(3, [(0, 1, 0.0), (1, 2, 5.0)])
+    assert select_kth_distance(g, 1, 0.5) == (0.0, 3.5 * 1.5)
+    alpha, factor = select_kth_distance(g, 2, 0.5)
+    assert 0.0 < alpha <= 5.0 <= factor * alpha
+    # every weight 0: every distance is 0, and no positive weight is needed
+    zeros = make_graph(4, [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0), (3, 0, 0.0)])
+    for k in range(1, 7):
+        assert select_kth_distance(zeros, k, 0.5) == (0.0, 3.5 * 1.5)
+    # the zero answer still needs a connected graph
+    with pytest.raises(ValueError, match="connected"):
+        select_kth_distance(make_graph(4, [(0, 1, 0.0), (2, 3, 0.0)]), 1, 0.5)
+
+
+def test_select_all_k_bracketed_with_zero_weight_classes():
+    rng = np.random.default_rng(27)
+    for g in (random_tree(25, rng)[0], random_series_parallel(25, rng)[0]):
+        g = make_graph(g.n, [(u, v, w if rng.random() < 0.5 else 0.0) for u, v, w in g.edges])
+        dm = apsp_exact(g)
+        hd, orc = build_hd(g), exact_oracle(g)
+        for k in range(1, g.n * (g.n - 1) // 2 + 1, 7):
+            alpha, factor = select_kth_distance(g, k, 0.5, hd=hd, oracle=orc)
+            true = exact_select(dm, k)
+            assert alpha <= true <= factor * alpha, (k, alpha, true)
+            assert (alpha == 0.0) == (true == 0.0)
 
 
 def test_select_rejects_an_eps_whose_level_ratio_rounds_to_one():

@@ -435,7 +435,7 @@ def test_minmax_tree_is_a_graph():
     for u, v, w in tree.edges:
         adj[u].append((v, w))
         adj[v].append((u, w))
-    assert tree.adjacency() == adj
+    assert [list(pairs) for pairs in tree.adjacency()] == adj
 
 
 def test_minmax_all_pairs_bottleneck_bound():
