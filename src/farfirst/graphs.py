@@ -108,15 +108,11 @@ def _csr(n: int, u, v, w):
 def make_graph(n: int, edges) -> Graph:
     """Validate and build a Graph from (u, v, w) triples."""
     out: list[tuple[int, int, float]] = []
-    try:
-        out.extend((int(u), int(v), float(w)) for u, v, w in edges)
-    finally:  # a bad edge before one that fails to convert is reported first
-        try:
-            i = _first_bad_edge(n, *_columns(out))
-        except OverflowError:  # an id past int64 is out of range, so some edge is bad
-            i = next(i for i, e in enumerate(out) if _edge_error(n, *e))
-        if i is not None:
-            raise ValueError(_edge_error(n, *out[i]))
+    for u, v, w in edges:
+        u, v, w = int(u), int(v), float(w)
+        if not (0 <= u < n and 0 <= v < n) or u == v or not 0.0 <= w < INF:
+            raise ValueError(_edge_error(n, u, v, w))
+        out.append((u, v, w))
     return Graph(n=n, edges=out)
 
 

@@ -263,15 +263,29 @@ def _append_zero_distance_tail(g: Graph, fld: np.ndarray, order_out, radii) -> N
 # --- approximate greedy, spread-free ---
 
 
-def _active_adjacency(rep: np.ndarray, us: np.ndarray, vs: np.ndarray, ws: list[float],
-                      lo: int, hi: int) -> dict[int, list[tuple[int, float]]]:
-    """Edges lo..hi-1 remapped onto their representatives, self-loops dropped."""
+def _active_adjacency(g: Graph, rep: np.ndarray, us: np.ndarray, vs: np.ndarray,
+                      ws: list[float], lo: int, hi: int):
+    """Edges lo..hi-1 remapped onto their representatives, self-loops dropped:
+    each vertex's (neighbour, weight) pairs, and a mask of the vertices that
+    have any.
+
+    A window that contracts nothing and keeps every edge is g itself, so its
+    pairs are g's cached adjacency, whose per-vertex tuples the collector
+    stops tracking; per-vertex lists would take part in every full
+    collection while the window lasts.  The relaxed distances do not depend
+    on the order of the pairs.
+    """
+    touch = np.zeros(g.n, dtype=bool)
+    if lo == 0 and hi == g.m:
+        touch[us] = touch[vs] = True
+        return g.adjacency(), touch
     adj: dict[int, list[tuple[int, float]]] = {}
     for a, b, w in zip(rep[us[lo:hi]].tolist(), rep[vs[lo:hi]].tolist(), ws[lo:hi]):
         if a != b:
             adj.setdefault(a, []).append((b, w))
             adj.setdefault(b, []).append((a, w))
-    return adj
+    touch[list(adj)] = True
+    return adj, touch
 
 
 def approx_greedy(g: Graph, eps: float, seed: int) -> GreedyPermutation:
@@ -336,9 +350,7 @@ def approx_greedy(g: Graph, eps: float, seed: int) -> GreedyPermutation:
             window = (lo, hi)
             rep = tree.lower_to(lo)
             reps = np.flatnonzero(rep == np.arange(n))
-            adj = _active_adjacency(rep, us, vs, ws, lo, hi)
-            touch = np.zeros(n, dtype=bool)
-            touch[list(adj)] = True
+            adj, touch = _active_adjacency(g, rep, us, vs, ws, lo, hi)
             # every selected vertex is still its class's min id, hence a rep
             wd = [INF] * n
             pruned_dijkstra_relax(adj, np.flatnonzero(chosen & touch).tolist(), wd, cutoff=r)

@@ -455,6 +455,27 @@ def test_approx_greedy_is_permutation_with_monotone_radii():
     assert all(a >= b for a, b in zip(finite, finite[1:]))
 
 
+def test_full_window_adjacency_is_the_graphs():
+    """A window that contracts nothing and keeps every edge takes the graph's
+    cached adjacency: the same pairs per vertex as appending each edge of the
+    window, up to their order, and the same touched vertices."""
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        n = int(rng.integers(2, 30))
+        g = random_connected_graph(n, int(rng.integers(n - 1, 3 * n)), rng)
+        g = make_graph(n, g.edges + g.edges[:1])  # with a parallel edge
+        us, vs = (np.array([e[k] for e in g.edges]) for k in (0, 1))
+        ws = [e[2] for e in g.edges]
+        ref = {}
+        for a, b, w in g.edges:
+            ref.setdefault(a, []).append((b, w))
+            ref.setdefault(b, []).append((a, w))
+        adj, touch = greedy._active_adjacency(g, np.arange(n), us, vs, ws, 0, g.m)
+        assert adj is g.adjacency()
+        assert [sorted(adj[x]) for x in range(n)] == [sorted(ref.get(x, [])) for x in range(n)]
+        assert touch.tolist() == [x in ref for x in range(n)]
+
+
 # --- k-center ---
 
 

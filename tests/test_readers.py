@@ -235,48 +235,6 @@ def test_seeded_texts_match_the_per_line_reader(kind, make):
 # --- make_graph, grid_graph and the writers ---
 
 
-def _make_graph_by_edges(n, edges):
-    """make_graph's per-edge reference: convert, then check each edge in
-    order (range, self-loop, weight)."""
-    out = []
-    for u, v, w in edges:
-        u, v, w = int(u), int(v), float(w)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not 0.0 <= w < float("inf"):
-            kind = "negative" if w < 0.0 else "non-finite"
-            raise ValueError(f"{kind} weight {w} on edge ({u},{v})")
-        out.append((u, v, w))
-    return out
-
-
-def test_make_graph_reports_the_first_bad_edge_as_the_per_edge_reference():
-    rng = np.random.default_rng(24)
-    bad_ws = [-1.0, float("nan"), float("inf"), -0.0]
-    for _ in range(300):
-        n = int(rng.integers(1, 6))
-        edges = []
-        for _ in range(int(rng.integers(0, 8))):
-            u, v = (int(x) for x in rng.integers(-1, n + 2, size=2))
-            if rng.random() < 0.05:
-                u = 10 ** 25
-            w = float(rng.choice(bad_ws)) if rng.random() < 0.2 else float(rng.uniform(0, 3))
-            edges.append((np.int64(u) if abs(u) < 2**62 else u, v, w))
-            if rng.random() < 0.05:  # an edge that does not convert
-                edges[-1] = [(u, v), ("x", v, w), (u, v, None), (u, v, 10**400)][int(rng.integers(4))]
-        try:
-            ref = ("graph", repr(_make_graph_by_edges(n, edges)))
-        except (ValueError, TypeError, OverflowError) as exc:
-            ref = (type(exc).__name__, str(exc))
-        try:
-            got = ("graph", repr(make_graph(n, edges).edges))
-        except (ValueError, TypeError, OverflowError) as exc:
-            got = (type(exc).__name__, str(exc))
-        assert got == ref, (n, edges)
-
-
 def test_make_graph_keeps_python_numbers():
     g = make_graph(3, [(np.int64(0), np.int32(2), np.float32(0.5)), (1.7, 2, 3)])
     assert g.edges == [(0, 2, 0.5), (1, 2, 3.0)]
