@@ -13,7 +13,10 @@ The planar digests pin count_short_pairs at several radii and
 select_kth_distance at several k; the treewidth digests pin the order and
 radii of exact_greedy_treewidth.  They were recorded from the per-pair
 counting loop over heapq oracle rows and from the per-subgraph L-inf index
-search, all on integer weights.
+search, all on integer weights.  The pair-table digests pin every field of
+planar._pair_tables (values and dtype) on a Delaunay graph, a tree with
+zero weights, a unit grid and a grid with real weights; they were recorded
+from the labelled heap per patch, ties to the smaller boundary id.
 
 The points digests pin the Euclidean lane: approx_greedy_points (order,
 radii, levels_run, level_jumps), approx_greedy_points_bounded_spread (order,
@@ -51,7 +54,8 @@ from farfirst.graphs import approx_diameter, make_graph
 from farfirst import greedy
 from farfirst.greedy import (approx_greedy, approx_greedy_bounded_spread, k_center_integer,
                              r_net)
-from farfirst.planar import build_hd, count_short_pairs, exact_oracle, select_kth_distance
+from farfirst.planar import (_pair_tables, build_hd, count_short_pairs, exact_oracle,
+                             select_kth_distance)
 from farfirst.points import (PointSet, approx_greedy_points,
                              approx_greedy_points_bounded_spread, approx_minmax_tree,
                              approx_r_net_points)
@@ -240,6 +244,52 @@ def test_golden_planar(instance):
     assert planar_digest(instance) == PLANAR_GOLDEN[instance]
 
 
+def _zero_tree():
+    rng = np.random.default_rng(24)
+    g = random_tree(60, rng)[0]
+    return make_graph(g.n, [(u, v, 0.0 if rng.random() < 0.4 else w) for u, v, w in g.edges])
+
+
+def _real_grid():
+    rng = np.random.default_rng(25)
+    g = grid_graph(8, 9)
+    return make_graph(g.n, [(u, v, float(rng.uniform(0.1, 3.0))) for u, v, _ in g.edges])
+
+
+# instances where the nearest-boundary tie rule (smallest id) decides labels
+PAIR_TABLES = {
+    "delaunay": lambda: delaunay_graph(70, np.random.default_rng(23)),
+    "zero_tree": _zero_tree,
+    "unit_grid": lambda: grid_graph(9, 9),
+    "real_grid": _real_grid,
+}
+PAIR_TABLES_GOLDEN = {
+    "delaunay": "2d930f360382743a43c624ccb31cc112422fa48339d755cd83c9843794d27689",
+    "zero_tree": "9721932a56c5d0bf12fc99cc11b7b341ffcba3865591037607435c9bbbc6f4bf",
+    "unit_grid": "67042bb784d4447e9d9483e828f12d343aa278bee429cbe398ddfd11535881c7",
+    "real_grid": "db32135aef9beef5fac0a992792bc6a36d3e07696d85ddf7949fb5eae63ee839",
+}
+
+
+def pair_tables_digest(instance: str) -> str:
+    g = PAIR_TABLES[instance]()
+    tables = _pair_tables(g, build_hd(g))
+    h = hashlib.sha256()
+    for name, value in sorted(vars(tables).items()):
+        h.update(name.encode())
+        if isinstance(value, np.ndarray):
+            h.update(value.dtype.str.encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+        else:
+            h.update(repr(value).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("instance", sorted(PAIR_TABLES_GOLDEN))
+def test_golden_pair_tables(instance):
+    assert pair_tables_digest(instance) == PAIR_TABLES_GOLDEN[instance]
+
+
 # --- treewidth exact greedy ---
 
 TREEWIDTH = {
@@ -340,6 +390,8 @@ if __name__ == "__main__":
         print(f'    "{i}": "{kcenter_digest(i)}",')
     for i in PLANAR:
         print(f'    "{i}": "{planar_digest(i)}",')
+    for i in PAIR_TABLES:
+        print(f'    "{i}": "{pair_tables_digest(i)}",')
     for i in TREEWIDTH:
         print(f'    "{i}": "{treewidth_digest(i)}",')
     for i in POINTS:
