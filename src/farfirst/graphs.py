@@ -4,8 +4,8 @@ Whole-graph and multi-source searches run in scipy's Dijkstra over one CSR
 builder and return one float64 distance per vertex.  The pruned relaxation
 is the Python heap loop shared by every net sweep and the spread-free
 greedy's truncated distances, because its pruning is what the sweep's
-amortisation counts; the planar pair tables run their own labelled heap
-(planar._patches).  The headed text formats (edge lists, points,
+amortisation counts; the planar pair tables run one multi-source scipy
+search per hierarchy depth (planar._nearest_borders).  The headed text formats (edge lists, points,
 decompositions) all split their header and rows with _headed; the edge-list
 and point readers first try one numpy step over the rows (_array_rows) and
 return to the per-line reader for any text that step rejects.
@@ -71,8 +71,7 @@ class Graph:
     def csr(self):
         """Sparse CSR adjacency (scipy), cached; used by the bulk solvers."""
         if self._csr is None:
-            e = np.array(self.edges, dtype=np.float64).reshape(-1, 3)
-            self._csr = _csr(self.n, e[:, 0], e[:, 1], e[:, 2])
+            self._csr = _csr(self.n, *_columns(self.edges))
         return self._csr
 
     def min_weight(self) -> float:

@@ -18,10 +18,14 @@ counted pairs at distance 3 (1 + eps_o) r, giving the sandwich
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
+import scipy.sparse as sp
+# bound at import, so that a tracer wrapping csgraph.dijkstra for
+# exact_greedy's solves does not count the pair tables' searches
+from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .graphs import DisjointSets, Graph, is_connected
 from .greedy import _check_levels, _check_positive
@@ -215,41 +219,33 @@ def exact_oracle(g: Graph) -> DistanceOracle:
     return _ExactOracle(g)
 
 
+_MISMATCH = "decomposition does not match the graph"
+
 # (side-1 distance, side-2 owner) queries per searchsorted pass of
 # count_short_pairs: caps its per-query temporaries near 256 KiB
 _PAIR_CHUNK = 1 << 12
 
 
 @dataclass
-class _Patch:
-    """Counting groups of one internal patch with vertices on both sides.
-
-    groups[(side, b)] holds the sorted within-patch distances of the
-    vertices on that side assigned to boundary vertex b.  b1 and b2 list,
-    in id order, the boundary vertices that own a side-1 and a side-2 group.
-    """
-
-    groups: dict[tuple[int, int], np.ndarray]
-    b1: list[int]
-    b2: list[int]
-
-
-@dataclass
 class _PairTables:
     """Radius-independent counting tables of a decomposition, flat over all
-    its two-sided patches (see _Patch), in patch order.
+    its two-sided patches, in patch order.
 
-    A cell is one (b1, b2) pair of a patch, b1-major: cell_u and cell_v are
-    its two boundary vertices, so one oracle lookup serves every cell.  A
-    segment is one side-2 group, in (patch, b2) order; keys holds the
-    groups' sorted distances as segment number + 1j * distance, which numpy
-    orders segment first, so one searchsorted looks up every segment at
-    once.  x1 holds the side-1 groups in (patch, b1) order.  A query is one
-    (x1 entry, side-2 owner of its patch) pair: x1[t] has width[t] of them,
-    numbered qend[t] - width[t] up to qend[t], and query q reads cell
-    cell[t] + q and segment seg[t] + q.  below is the number of keys before
-    each query's segment, summed over all queries.  Every array is the size
-    of the patches or of the cells, never of the queries.
+    A patch's vertices are grouped by side (the child they lie in) and owner
+    (their nearest boundary vertex of either child, in the patch, ties to
+    the smaller id); a patch is two-sided when both sides hold a group.  A
+    cell is one (b1, b2) pair of owners of a patch, b1-major: cell_u and
+    cell_v are its two boundary vertices, so one oracle lookup serves every
+    cell.  A segment is one side-2 group, in (patch, b2) order; keys holds
+    the groups' sorted distances as segment number + 1j * distance, which
+    numpy orders segment first, so one searchsorted looks up every segment
+    at once.  x1 holds the side-1 groups' sorted distances in (patch, b1)
+    order.  A query is one (x1 entry, side-2 owner of its patch) pair: x1[t]
+    has width[t] of them, numbered qend[t] - width[t] up to qend[t], and
+    query q reads cell cell[t] + q and segment seg[t] + q.  below is the
+    number of keys before each query's segment, summed over all queries.
+    Every array is the size of the patches or of the cells, never of the
+    queries.
     """
 
     cell_u: np.ndarray
@@ -263,80 +259,137 @@ class _PairTables:
     below: int
 
 
-def _patches(g: Graph, hd: HierarchicalDecomposition) -> list[_Patch]:
-    """The internal patches with groups on both sides, in node order.
+def _nearest_borders(g: Graph, hd: HierarchicalDecomposition):
+    """(node, side, owner, distance) of every vertex that reaches a boundary
+    vertex of its patch's children inside the patch, over every internal
+    node of hd; side is 1 in the first child and 2 in the second.
 
-    Assignment = nearest boundary vertex in G[patch] by a labeled
-    multi-source Dijkstra, ties to the smaller vertex id.
+    The patches at one depth are disjoint, so the graph of their inner
+    edges serves them all: one multi-source scipy search per depth gives
+    each vertex its distance and one nearest source.  The owner is the
+    smallest-id nearest source, which is the least source that reaches the
+    vertex along tight edges (d[x] + w == d[u]), zero weights included.
+    When no tight edge carries a smaller source than its head holds,
+    scipy's sources are already those; otherwise one more search finds
+    them (_least_reaching).  Checks on the way that hd's root patch is
+    0..n-1, that children partition their parent and record their boundary
+    inside it, and that leaves are single vertices.
     """
-    adj = g.adjacency()
+    nodes, n, count = hd.nodes, g.n, len(hd.nodes)
+    size = np.array([len(nd.patch) for nd in nodes], dtype=np.int64)
+    kids_of = np.array([nd.children or (-1, -1) for nd in nodes], dtype=np.int64)
+    root = np.array(nodes[0].patch, dtype=np.int64)
+    if root.size != n or not np.array_equal(np.sort(root), np.arange(n)) \
+            or ((kids_of < -1) | (kids_of >= count)).any():
+        raise ValueError(_MISMATCH)
+    adj = g.csr()
+    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+    owner = np.zeros(n, dtype=np.int64)  # each vertex's node at this depth
+    seen = np.zeros(count, dtype=bool)
     found = []
-    for nd in hd.nodes:
-        if nd.children is None:
-            continue
-        left, right = hd.nodes[nd.children[0]], hd.nodes[nd.children[1]]
-        border = sorted(set(left.boundary) | set(right.boundary))
-        inside = set(nd.patch)
-        side = {}
-        for v in left.patch:
-            side[v] = 1
-        for v in right.patch:
-            side[v] = 2
-        dist: dict[int, float] = {}
-        label: dict[int, int] = {}
-        heap = [(0.0, b, b) for b in border]
-        heapq.heapify(heap)
-        while heap:
-            du, lab, u = heapq.heappop(heap)
-            if u in dist:
-                continue
-            dist[u] = du
-            label[u] = lab
-            for nb, w in adj[u]:
-                if nb in inside and nb not in dist:
-                    heapq.heappush(heap, (du + w, lab, nb))
-        buckets: dict[tuple[int, int], list[float]] = {}
-        for v, dv in dist.items():
-            buckets.setdefault((side[v], label[v]), []).append(dv)
-        groups = {key: np.array(sorted(vals)) for key, vals in buckets.items()}
-        b1 = [b for b in border if (1, b) in groups]
-        b2 = [b for b in border if (2, b) in groups]
-        if b1 and b2:
-            found.append(_Patch(groups=groups, b1=b1, b2=b2))
-    return found
+    layer = np.zeros(1, dtype=np.int64)
+    while layer.size:
+        split = kids_of[layer, 0] >= 0
+        if (size[layer[~split]] != 1).any():
+            raise ValueError(_MISMATCH)
+        parents = layer[split]
+        kids = kids_of[parents].ravel()
+        seen[layer] = True
+        if (kids < 0).any() or seen[kids].any() or np.unique(kids).size != kids.size:
+            raise ValueError(_MISMATCH)
+        verts = np.fromiter(chain.from_iterable(nodes[c].patch for c in kids), np.int64,
+                            int(size[kids].sum()))
+        if ((verts < 0) | (verts >= n)).any() or (np.bincount(verts, minlength=n) > 1).any() \
+                or (size[kids[0::2]] + size[kids[1::2]] != size[parents]).any() \
+                or (owner[verts] != np.repeat(parents, size[parents])).any():
+            raise ValueError(_MISMATCH)
+        child = owner.copy()
+        child[verts] = np.repeat(kids, size[kids])
+        marks = np.fromiter(chain.from_iterable(nodes[c].boundary for c in kids), np.int64)
+        if ((marks < 0) | (marks >= n)).any() or (
+                child[marks] != np.repeat(kids, [len(nodes[c].boundary) for c in kids])).any():
+            raise ValueError(_MISMATCH)
+        if marks.size:
+            inner = owner[rows] == owner[adj.indices]  # edges inside one patch
+            tail, head = rows[inner], adj.indices[inner]
+            sub = sp.csr_matrix(
+                (adj.data[inner], head, np.concatenate([[0], np.cumsum(np.bincount(
+                    tail, minlength=n))])), shape=(n, n))
+            borders = np.unique(marks)
+            dist, _, source = _csgraph_dijkstra(sub, indices=borders, min_only=True,
+                                                return_predecessors=True)
+            tight = np.isfinite(dist[tail]) & (dist[tail] + sub.data == dist[head])
+            tail, head = tail[tight], head[tight]
+            at = np.flatnonzero(np.isfinite(dist))
+            label = source.astype(np.int64)
+            if (label[tail] < label[head]).any():
+                rank = _least_reaching(n, tail, head, borders)
+                label[at] = borders[rank[at].astype(np.int64)]
+            node = owner[at]
+            found.append((node, np.where(child[at] == kids_of[node, 0], 1, 2), label[at],
+                          dist[at]))
+        owner, layer = child, kids
+    if not found:
+        return (np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)
+    return tuple(np.concatenate(cols) for cols in zip(*found))
+
+
+def _least_reaching(n: int, tail: np.ndarray, head: np.ndarray,
+                    borders: np.ndarray) -> np.ndarray:
+    """For each of n vertices, the index in the sorted array borders of the
+    first border vertex that reaches it along the arcs tail -> head, as a
+    float (inf where none does).  One search from an extra vertex n, with
+    an arc of length k to borders[k] and every other arc of length 0;
+    tail must be sorted."""
+    k = borders.size
+    reach = sp.csr_matrix(
+        (np.concatenate([np.zeros(head.size), np.arange(k, dtype=np.float64)]),
+         np.concatenate([head, borders]),
+         np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=n)), [head.size + k]])),
+        shape=(n + 1, n + 1))
+    return _csgraph_dijkstra(reach, indices=n)[:n]
 
 
 def _pair_tables(g: Graph, hd: HierarchicalDecomposition) -> _PairTables:
     """The flat counting tables of hd (see _PairTables), computed once per
-    decomposition."""
-    ys, xs, x_cell, x_seg, x_width, cell_u, cell_v = [], [], [], [], [], [], []
-    cells = segs = 0
-    for p in _patches(g, hd):
-        ys += [p.groups[(2, b)] for b in p.b2]
-        for i, a in enumerate(p.b1):
-            xs.append(p.groups[(1, a)])
-            x_cell.append(cells + i * len(p.b2))
-            x_seg.append(segs)
-            x_width.append(len(p.b2))
-        cell_u.append(np.repeat(p.b1, len(p.b2)))
-        cell_v.append(np.tile(p.b2, len(p.b1)))
-        cells += len(p.b1) * len(p.b2)
-        segs += len(p.b2)
-    y_len = np.array([len(y) for y in ys], dtype=np.int64)
-    x_len = np.array([len(x) for x in xs], dtype=np.int64)
+    decomposition by one sort of every (node, side, owner, distance) that
+    _nearest_borders finds."""
+    node, side, owner, dist = _nearest_borders(g, hd)
+    count = len(hd.nodes)
+    two = (np.bincount(node[side == 1], minlength=count) > 0) & \
+        (np.bincount(node[side == 2], minlength=count) > 0)
+    order = np.lexsort((dist, owner, side, node))
+    order = order[two[node[order]]]
+    node, side, owner, dist = node[order], side[order], owner[order], dist[order]
+    # groups are the runs of one (node, side, owner)
+    new = np.ones(node.size, dtype=bool)
+    new[1:] = (node[1:] != node[:-1]) | (side[1:] != side[:-1]) | (owner[1:] != owner[:-1])
+    starts = np.flatnonzero(new)
+    size = np.diff(np.append(starts, node.size))
+    ones = side[starts] == 1
+    x_len, y_len = size[ones], size[~ones]
+    b1, b2 = owner[starts][ones], owner[starts][~ones]
+    patch = np.flatnonzero(two)
+    n1 = np.bincount(node[starts][ones], minlength=count)[patch]
+    n2 = np.bincount(node[starts][~ones], minlength=count)[patch]
+    y_at = np.cumsum(n2) - n2  # first segment of each patch
+    # each side-1 group starts a run of cells, one per side-2 group of its
+    # patch: (b1, b2) cells are b1-major
+    xp = np.repeat(np.arange(patch.size), n1)
+    x_seg, x_width = y_at[xp], n2[xp]
+    x_cell = np.cumsum(x_width) - x_width
+    run = np.repeat(x_cell - x_seg, x_width)
     keys = np.empty(int(y_len.sum()), dtype=np.complex128)
-    keys.real = np.repeat(np.arange(segs), y_len)
-    keys.imag = np.concatenate([np.empty(0), *ys])
+    keys.real = np.repeat(np.arange(y_len.size), y_len)
+    keys.imag = dist[side == 2]
     # keys before each segment, and their running sum over the segments
     before = np.concatenate([[0], np.cumsum(np.cumsum(y_len) - y_len)])
-    x_seg, x_width = np.array(x_seg, dtype=np.int64), np.array(x_width, dtype=np.int64)
     width = np.repeat(x_width, x_len)
     qend = np.cumsum(width)
     return _PairTables(
-        cell_u=np.concatenate([np.empty(0, dtype=np.int64), *cell_u]),
-        cell_v=np.concatenate([np.empty(0, dtype=np.int64), *cell_v]), keys=keys,
-        x1=np.concatenate([np.empty(0), *xs]), width=width, qend=qend,
-        cell=np.repeat(np.array(x_cell, dtype=np.int64), x_len) - (qend - width),
+        cell_u=np.repeat(b1, x_width), cell_v=b2[np.arange(run.size) - run], keys=keys,
+        x1=dist[side == 1], width=width, qend=qend,
+        cell=np.repeat(x_cell, x_len) - (qend - width),
         seg=np.repeat(x_seg, x_len) - (qend - width),
         below=int((x_len * (before[x_seg + x_width] - before[x_seg])).sum()))
 
@@ -358,10 +411,10 @@ def count_short_pairs(g: Graph, hd: HierarchicalDecomposition, r: float,
     _check_positive("r", r)
     _check_positive("eps", eps)
     if len(hd.nodes[0].patch) != g.n:
-        raise ValueError("decomposition does not match the graph")
+        raise ValueError(_MISMATCH)
     if oracle.eps > eps / 3.0 + 1e-12:
         raise ValueError(f"oracle eps {oracle.eps} exceeds eps/3 = {eps / 3.0}")
-    if hd._pair_cache is None:
+    if hd._pair_cache is None:  # checks the rest of hd's contract
         hd._pair_cache = _pair_tables(g, hd)
     tables = hd._pair_cache
     scale = 1.0 + oracle.eps

@@ -1,6 +1,6 @@
 """Differential corpus: one sha256 per lane over a few hundred seeded runs.
 
-    PYTHONPATH=<checkout>/src python tests/differential.py
+    PYTHONPATH=<checkout>/src python tests/differential.py [lane ...]
 
 prints one line "<lane> <runs> <sha256>" for each of the graph greedies,
 graph nets and k-center, the Euclidean lane, planar counting and selection,
@@ -13,16 +13,19 @@ nearest-neighbour answers, and the edge-list and point readers on texts
 with mixed whitespace, blank lines and several spellings of each float.
 Every input is written in its text format and read back through the
 library's parser, so the readers are covered too.
-Running the command against two checkouts and comparing the lines shows
-whether a change kept every output byte for byte.  Only public functions
-and their required arguments are used, so the command runs against older
-checkouts as well.  pytest does not collect this file.
+Given lane names (say ``planar planar_wide decomp``), it prints only those
+lanes' lines, in the order of the full output.  Running the command
+against two checkouts and comparing the lines shows whether a change kept
+every output byte for byte.  Only public functions and their required
+arguments are used, so the command runs against older checkouts as well.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -409,12 +412,17 @@ LANES = {"graph_greedy": lane_graph_greedy, "net_kcenter": lane_net_kcenter,
          "decomp": lane_decomp, "ann": lane_ann, "reader": lane_reader}
 
 
-def main() -> None:
+def main(names: list[str]) -> None:
+    unknown = sorted(set(names) - set(LANES))
+    if unknown:
+        raise SystemExit(f"unknown lane {', '.join(unknown)}; lanes: {' '.join(LANES)}")
     for lane, fn in LANES.items():
+        if names and lane not in names:
+            continue
         runs = fn()
         blob = json.dumps(runs, sort_keys=True, separators=(",", ":")).encode()
         print(f"{lane} {len(runs)} {hashlib.sha256(blob).hexdigest()}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -1,8 +1,10 @@
 """Hierarchical decomposition, bicriteria pair counting, and k-th distance
 selection for declared-planar inputs."""
 
+import heapq
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from farfirst.generators import (delaunay_graph, grid_graph, random_series_paral
                                  random_tree)
 from farfirst.graphs import make_graph
 from farfirst.oracles import apsp_exact, exact_count, exact_select
-from farfirst.planar import (DistanceOracle, HDNode, HierarchicalDecomposition, _patches,
+from farfirst.planar import (DistanceOracle, HDNode, HierarchicalDecomposition, _pair_tables,
                              build_hd, count_short_pairs, exact_oracle, select_kth_distance)
 
 from conftest import complete_graph, path_graph
@@ -138,6 +140,94 @@ def test_exact_oracle_pairs_match_apsp_and_default_pairs():
 # --- counting ---
 
 
+@dataclass
+class _Patch:
+    """Counting groups of one internal patch with vertices on both sides.
+
+    groups[(side, b)] holds the sorted within-patch distances of the
+    vertices on that side assigned to boundary vertex b.  b1 and b2 list,
+    in id order, the boundary vertices that own a side-1 and a side-2 group.
+    """
+
+    groups: dict[tuple[int, int], np.ndarray]
+    b1: list[int]
+    b2: list[int]
+
+
+def _patches(g, hd):
+    """Reference groups: the internal patches with groups on both sides, in
+    node order, each assigned by its own labelled multi-source Dijkstra in
+    G[patch] over the children's boundary vertices, ties to the smaller id."""
+    adj = g.adjacency()
+    found = []
+    for nd in hd.nodes:
+        if nd.children is None:
+            continue
+        left, right = hd.nodes[nd.children[0]], hd.nodes[nd.children[1]]
+        border = sorted(set(left.boundary) | set(right.boundary))
+        inside = set(nd.patch)
+        side = {}
+        for v in left.patch:
+            side[v] = 1
+        for v in right.patch:
+            side[v] = 2
+        dist: dict[int, float] = {}
+        label: dict[int, int] = {}
+        heap = [(0.0, b, b) for b in border]
+        heapq.heapify(heap)
+        while heap:
+            du, lab, u = heapq.heappop(heap)
+            if u in dist:
+                continue
+            dist[u] = du
+            label[u] = lab
+            for nb, w in adj[u]:
+                if nb in inside and nb not in dist:
+                    heapq.heappush(heap, (du + w, lab, nb))
+        buckets: dict[tuple[int, int], list[float]] = {}
+        for v, dv in dist.items():
+            buckets.setdefault((side[v], label[v]), []).append(dv)
+        groups = {key: np.array(sorted(vals)) for key, vals in buckets.items()}
+        b1 = [b for b in border if (1, b) in groups]
+        b2 = [b for b in border if (2, b) in groups]
+        if b1 and b2:
+            found.append(_Patch(groups=groups, b1=b1, b2=b2))
+    return found
+
+
+def _flat_tables(g, hd):
+    """Reference tables: the fields of _pair_tables, flattened patch by patch
+    from _patches."""
+    ys, xs, x_cell, x_seg, x_width, cell_u, cell_v = [], [], [], [], [], [], []
+    cells = segs = 0
+    for p in _patches(g, hd):
+        ys += [p.groups[(2, b)] for b in p.b2]
+        for i, a in enumerate(p.b1):
+            xs.append(p.groups[(1, a)])
+            x_cell.append(cells + i * len(p.b2))
+            x_seg.append(segs)
+            x_width.append(len(p.b2))
+        cell_u.append(np.repeat(p.b1, len(p.b2)))
+        cell_v.append(np.tile(p.b2, len(p.b1)))
+        cells += len(p.b1) * len(p.b2)
+        segs += len(p.b2)
+    y_len = np.array([len(y) for y in ys], dtype=np.int64)
+    x_len = np.array([len(x) for x in xs], dtype=np.int64)
+    keys = np.empty(int(y_len.sum()), dtype=np.complex128)
+    keys.real = np.repeat(np.arange(segs), y_len)
+    keys.imag = np.concatenate([np.empty(0), *ys])
+    before = np.concatenate([[0], np.cumsum(np.cumsum(y_len) - y_len)])
+    x_seg, x_width = np.array(x_seg, dtype=np.int64), np.array(x_width, dtype=np.int64)
+    width = np.repeat(x_width, x_len)
+    qend = np.cumsum(width)
+    return {"cell_u": np.concatenate([np.empty(0, dtype=np.int64), *cell_u]),
+            "cell_v": np.concatenate([np.empty(0, dtype=np.int64), *cell_v]), "keys": keys,
+            "x1": np.concatenate([np.empty(0), *xs]), "width": width, "qend": qend,
+            "cell": np.repeat(np.array(x_cell, dtype=np.int64), x_len) - (qend - width),
+            "seg": np.repeat(x_seg, x_len) - (qend - width),
+            "below": int((x_len * (before[x_seg + x_width] - before[x_seg])).sum())}
+
+
 def _count_per_pair(g, hd, r, eps, oracle):
     """Reference count: one oracle query and one searchsorted per
     (side-1 owner, side-2 owner) pair of every patch."""
@@ -260,21 +350,78 @@ def test_count_is_zero_when_every_cap_is_negative():
         assert count_short_pairs(g, hd, r, eps, oracle) == _count_per_patch(g, hd, r, oracle) == 0
 
 
-def test_count_without_a_two_sided_patch_is_zero():
-    one = make_graph(1, [])
-    assert count_short_pairs(one, build_hd(one), 1.0, 0.5, exact_oracle(one)) == 0
-    # a hand-made decomposition whose children record no boundary: no patch
-    # has a group on either side, so the tables are empty
-    g = path_graph(3)
-    hd = HierarchicalDecomposition(nodes=[
+def _boundary_free():
+    """path_graph(3) with a hand-made decomposition whose children record no
+    boundary."""
+    return path_graph(3), HierarchicalDecomposition(nodes=[
         HDNode(patch=[0, 1, 2], boundary=[], children=(1, 2)),
         HDNode(patch=[0], boundary=[], children=None),
         HDNode(patch=[1, 2], boundary=[], children=(3, 4)),
         HDNode(patch=[1], boundary=[], children=None),
         HDNode(patch=[2], boundary=[], children=None)])
+
+
+def test_count_without_a_two_sided_patch_is_zero():
+    one = make_graph(1, [])
+    assert count_short_pairs(one, build_hd(one), 1.0, 0.5, exact_oracle(one)) == 0
+    # a hand-made decomposition whose children record no boundary: no patch
+    # has a group on either side, so the tables are empty
+    g, hd = _boundary_free()
     assert _patches(g, hd) == []
     for oracle in (exact_oracle(g), _StretchedByQuery(g)):
         assert count_short_pairs(g, hd, 5.0, 0.5, oracle) == 0
+
+
+def _with_hd(g):
+    return g, build_hd(g)
+
+
+TABLE_CASES = {**{name: (lambda g=g: _with_hd(g)) for name, g in EQUIVALENCE},
+               "boundary_free": _boundary_free,
+               "n1": lambda: _with_hd(make_graph(1, [])),
+               "unit_path200": lambda: _with_hd(path_graph(200)),
+               "tree200": lambda: _with_hd(random_tree(200, np.random.default_rng(14))[0])}
+
+
+@pytest.mark.parametrize("name", list(TABLE_CASES))
+def test_pair_tables_equal_the_per_patch_heap(name):
+    g, hd = TABLE_CASES[name]()
+    tables = vars(_pair_tables(g, hd))
+    reference = _flat_tables(g, hd)
+    assert tables.keys() == reference.keys()
+    assert tables.pop("below") == reference.pop("below")
+    for field, want in reference.items():
+        got = tables[field]
+        assert got.dtype == want.dtype, field
+        assert np.array_equal(got, want), field
+
+
+def _malformed():
+    """path_graph(3) decompositions that break HDNode's contract, one way each."""
+    def hd(*nodes):
+        return HierarchicalDecomposition(nodes=[HDNode(*nd) for nd in nodes])
+
+    leaves = [([0], [0], None), ([1], [1], None), ([2], [2], None)]
+    return {
+        "repeated_in_siblings": hd(([0, 1, 2], [], (1, 2)), ([0, 1], [1], (3, 4)),
+                                   ([1, 2], [1], (5, 6)), *leaves[:2], *leaves[1:]),
+        "root_not_every_vertex": hd(([0, 1, 1], [], (1, 2)), *leaves[:2], leaves[1]),
+        "root_too_small": hd(([0, 1], [], (1, 2)), *leaves[:2]),
+        "child_outside_parent": hd(([0, 1, 2], [], (1, 2)), ([0], [0], None),
+                                   ([1, 2], [1], (3, 4)), ([0], [0], None), ([2], [2], None)),
+        "wide_leaf": hd(([0, 1, 2], [], (1, 2)), ([0], [0], None), ([1, 2], [1], None)),
+        "boundary_outside_child": hd(([0, 1, 2], [], (1, 2)), ([0], [1], None),
+                                     ([1, 2], [1], (3, 4)), *leaves[1:]),
+        "child_twice": hd(([0, 1, 2], [], (1, 1)), ([0, 1, 2], [], None)),
+        "child_out_of_range": hd(([0, 1, 2], [], (1, 7)), ([0], [0], None)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_malformed()))
+def test_count_rejects_a_malformed_decomposition(name):
+    g, hd = path_graph(3), _malformed()[name]
+    with pytest.raises(ValueError, match="decomposition does not match the graph"):
+        count_short_pairs(g, hd, 1.0, 0.5, exact_oracle(g))
 
 
 def test_count_rejects_an_oracle_that_returns_nan():
