@@ -266,14 +266,13 @@ def _nearest_borders(g: Graph, hd: HierarchicalDecomposition):
 
     The patches at one depth are disjoint, so the graph of their inner
     edges serves them all: one multi-source scipy search per depth gives
-    each vertex its distance and one nearest source.  The owner is the
-    smallest-id nearest source, which is the least source that reaches the
-    vertex along tight edges (d[x] + w == d[u]), zero weights included.
-    When no tight edge carries a smaller source than its head holds,
-    scipy's sources are already those; otherwise one more search finds
-    them (_least_reaching).  Checks on the way that hd's root patch is
-    0..n-1, that children partition their parent and record their boundary
-    inside it, and that leaves are single vertices.
+    each vertex its distance to the nearest boundary vertex.  Its owner,
+    the smallest-id nearest one, is the least boundary vertex that reaches
+    it along tight edges (d[x] + w == d[u], zero weights included), which
+    one more search finds for all (_least_reaching).  Checks on the way
+    that hd's root patch is 0..n-1, that children partition their parent
+    and record their boundary inside it, and that leaves are single
+    vertices.
     """
     nodes, n, count = hd.nodes, g.n, len(hd.nodes)
     size = np.array([len(nd.patch) for nd in nodes], dtype=np.int64)
@@ -316,18 +315,13 @@ def _nearest_borders(g: Graph, hd: HierarchicalDecomposition):
                 (adj.data[inner], head, np.concatenate([[0], np.cumsum(np.bincount(
                     tail, minlength=n))])), shape=(n, n))
             borders = np.unique(marks)
-            dist, _, source = _csgraph_dijkstra(sub, indices=borders, min_only=True,
-                                                return_predecessors=True)
+            dist = _csgraph_dijkstra(sub, indices=borders, min_only=True)
             tight = np.isfinite(dist[tail]) & (dist[tail] + sub.data == dist[head])
-            tail, head = tail[tight], head[tight]
             at = np.flatnonzero(np.isfinite(dist))
-            label = source.astype(np.int64)
-            if (label[tail] < label[head]).any():
-                rank = _least_reaching(n, tail, head, borders)
-                label[at] = borders[rank[at].astype(np.int64)]
+            rank = _least_reaching(n, tail[tight], head[tight], borders)[at]
             node = owner[at]
-            found.append((node, np.where(child[at] == kids_of[node, 0], 1, 2), label[at],
-                          dist[at]))
+            found.append((node, np.where(child[at] == kids_of[node, 0], 1, 2),
+                          borders[rank.astype(np.int64)], dist[at]))
         owner, layer = child, kids
     if not found:
         return (np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)
