@@ -276,10 +276,11 @@ def _nearest_borders(g: Graph, hd: HierarchicalDecomposition):
     """
     nodes, n, count = hd.nodes, g.n, len(hd.nodes)
     size = np.array([len(nd.patch) for nd in nodes], dtype=np.int64)
-    kids_of = np.array([nd.children or (-1, -1) for nd in nodes], dtype=np.int64)
+    leaf = np.array([nd.children is None for nd in nodes])
+    kids_of = np.array([nd.children or (0, 0) for nd in nodes], dtype=np.int64)
     root = np.array(nodes[0].patch, dtype=np.int64)
     if root.size != n or not np.array_equal(np.sort(root), np.arange(n)) \
-            or ((kids_of < -1) | (kids_of >= count)).any():
+            or ((kids_of < 0) | (kids_of >= count))[~leaf].any():
         raise ValueError(_MISMATCH)
     adj = g.csr()
     rows = np.repeat(np.arange(n), np.diff(adj.indptr))
@@ -288,13 +289,12 @@ def _nearest_borders(g: Graph, hd: HierarchicalDecomposition):
     found = []
     layer = np.zeros(1, dtype=np.int64)
     while layer.size:
-        split = kids_of[layer, 0] >= 0
-        if (size[layer[~split]] != 1).any():
+        if (size[layer[leaf[layer]]] != 1).any():
             raise ValueError(_MISMATCH)
-        parents = layer[split]
+        parents = layer[~leaf[layer]]
         kids = kids_of[parents].ravel()
         seen[layer] = True
-        if (kids < 0).any() or seen[kids].any() or np.unique(kids).size != kids.size:
+        if seen[kids].any() or np.unique(kids).size != kids.size:
             raise ValueError(_MISMATCH)
         verts = np.fromiter(chain.from_iterable(nodes[c].patch for c in kids), np.int64,
                             int(size[kids].sum()))

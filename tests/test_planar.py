@@ -414,6 +414,9 @@ def _malformed():
                                      ([1, 2], [1], (3, 4)), *leaves[1:]),
         "child_twice": hd(([0, 1, 2], [], (1, 1)), ([0, 1, 2], [], None)),
         "child_out_of_range": hd(([0, 1, 2], [], (1, 7)), ([0], [0], None)),
+        # -1 would name the last node, [1, 2], as a Python list index
+        "negative_child": hd(([0, 1, 2], [], (1, -1)), ([0], [0], None), *leaves[1:],
+                             ([1, 2], [1], (2, 3))),
     }
 
 
