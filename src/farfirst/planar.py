@@ -259,6 +259,21 @@ class _PairTables:
     below: int
 
 
+class _Flat:
+    """A list of int lists as one int64 array, read once."""
+
+    def __init__(self, lists: list[list[int]]):
+        self.length = np.fromiter(map(len, lists), np.int64, len(lists))
+        self.items = np.fromiter(chain.from_iterable(lists), np.int64, int(self.length.sum()))
+        self.start = np.cumsum(self.length) - self.length
+
+    def of(self, which: np.ndarray) -> np.ndarray:
+        """The items of the lists numbered which, one list after another."""
+        length = self.length[which]
+        skip = np.repeat(self.start[which] - (np.cumsum(length) - length), length)
+        return self.items[np.arange(skip.size) + skip]
+
+
 def _nearest_borders(g: Graph, hd: HierarchicalDecomposition):
     """(node, side, owner, distance) of every vertex that reaches a boundary
     vertex of its patch's children inside the patch, over every internal
@@ -275,10 +290,12 @@ def _nearest_borders(g: Graph, hd: HierarchicalDecomposition):
     vertices.
     """
     nodes, n, count = hd.nodes, g.n, len(hd.nodes)
-    size = np.array([len(nd.patch) for nd in nodes], dtype=np.int64)
+    patch = _Flat([nd.patch for nd in nodes])
+    bound = _Flat([nd.boundary for nd in nodes])
+    size = patch.length
     leaf = np.array([nd.children is None for nd in nodes])
     kids_of = np.array([nd.children or (0, 0) for nd in nodes], dtype=np.int64)
-    root = np.array(nodes[0].patch, dtype=np.int64)
+    root = patch.of(np.zeros(1, dtype=np.int64))
     if root.size != n or not np.array_equal(np.sort(root), np.arange(n)) \
             or ((kids_of < 0) | (kids_of >= count))[~leaf].any():
         raise ValueError(_MISMATCH)
@@ -294,19 +311,18 @@ def _nearest_borders(g: Graph, hd: HierarchicalDecomposition):
         parents = layer[~leaf[layer]]
         kids = kids_of[parents].ravel()
         seen[layer] = True
-        if seen[kids].any() or np.unique(kids).size != kids.size:
+        if seen[kids].any() or np.bincount(kids, minlength=count).max(initial=0) > 1:
             raise ValueError(_MISMATCH)
-        verts = np.fromiter(chain.from_iterable(nodes[c].patch for c in kids), np.int64,
-                            int(size[kids].sum()))
+        verts = patch.of(kids)
         if ((verts < 0) | (verts >= n)).any() or (np.bincount(verts, minlength=n) > 1).any() \
                 or (size[kids[0::2]] + size[kids[1::2]] != size[parents]).any() \
                 or (owner[verts] != np.repeat(parents, size[parents])).any():
             raise ValueError(_MISMATCH)
         child = owner.copy()
         child[verts] = np.repeat(kids, size[kids])
-        marks = np.fromiter(chain.from_iterable(nodes[c].boundary for c in kids), np.int64)
-        if ((marks < 0) | (marks >= n)).any() or (
-                child[marks] != np.repeat(kids, [len(nodes[c].boundary) for c in kids])).any():
+        marks = bound.of(kids)
+        if ((marks < 0) | (marks >= n)).any() \
+                or (child[marks] != np.repeat(kids, bound.length[kids])).any():
             raise ValueError(_MISMATCH)
         if marks.size:
             inner = owner[rows] == owner[adj.indices]  # edges inside one patch
@@ -314,7 +330,9 @@ def _nearest_borders(g: Graph, hd: HierarchicalDecomposition):
             sub = sp.csr_matrix(
                 (adj.data[inner], head, np.concatenate([[0], np.cumsum(np.bincount(
                     tail, minlength=n))])), shape=(n, n))
-            borders = np.unique(marks)
+            on_border = np.zeros(n, dtype=bool)
+            on_border[marks] = True
+            borders = np.flatnonzero(on_border)
             dist = _csgraph_dijkstra(sub, indices=borders, min_only=True)
             tight = np.isfinite(dist[tail]) & (dist[tail] + sub.data == dist[head])
             at = np.flatnonzero(np.isfinite(dist))
@@ -352,12 +370,12 @@ def _pair_tables(g: Graph, hd: HierarchicalDecomposition) -> _PairTables:
     count = len(hd.nodes)
     two = (np.bincount(node[side == 1], minlength=count) > 0) & \
         (np.bincount(node[side == 2], minlength=count) > 0)
-    order = np.lexsort((dist, owner, side, node))
+    group = (node * 2 + side - 1) * g.n + owner  # orders as (node, side, owner)
+    order = np.lexsort((dist, group))
     order = order[two[node[order]]]
-    node, side, owner, dist = node[order], side[order], owner[order], dist[order]
-    # groups are the runs of one (node, side, owner)
-    new = np.ones(node.size, dtype=bool)
-    new[1:] = (node[1:] != node[:-1]) | (side[1:] != side[:-1]) | (owner[1:] != owner[:-1])
+    node, side, owner, dist, group = (a[order] for a in (node, side, owner, dist, group))
+    new = np.ones(node.size, dtype=bool)  # groups are the runs of one key
+    new[1:] = group[1:] != group[:-1]
     starts = np.flatnonzero(new)
     size = np.diff(np.append(starts, node.size))
     ones = side[starts] == 1
