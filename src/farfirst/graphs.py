@@ -4,11 +4,12 @@ Whole-graph and multi-source searches run in scipy's Dijkstra over one CSR
 builder and return one float64 distance per vertex.  The pruned relaxation
 is the Python heap loop shared by every net sweep and the spread-free
 greedy's truncated distances, because its pruning is what the sweep's
-amortisation counts; the planar pair tables run one multi-source scipy
-search per hierarchy depth (planar._nearest_borders).  The headed text formats (edge lists, points,
-decompositions) all split their header and rows with _headed; the edge-list
-and point readers first try one numpy step over the rows (_array_rows) and
-return to the per-line reader for any text that step rejects.
+amortisation counts; the planar pair tables run scipy's searches, one
+hierarchy depth at a time (planar._nearest_borders).  The headed text
+formats (edge lists, points, decompositions) all split their header and
+rows with _headed; the edge-list and point readers first try one numpy
+step over the rows (_array_rows) and return to the per-line reader for any
+text that step rejects.
 """
 
 from __future__ import annotations
