@@ -256,7 +256,8 @@ def _real_grid():
     return make_graph(g.n, [(u, v, float(rng.uniform(0.1, 3.0))) for u, v, _ in g.edges])
 
 
-# instances where the nearest-boundary tie rule (smallest id) decides labels
+# the smallest-id rule decides some nearest-boundary labels on all but the
+# real-weight grid
 PAIR_TABLES = {
     "delaunay": lambda: delaunay_graph(70, np.random.default_rng(22)),
     "zero_tree": _zero_tree,
