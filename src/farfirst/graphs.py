@@ -72,7 +72,8 @@ class Graph:
     def csr(self):
         """Sparse CSR adjacency (scipy), cached; used by the bulk solvers."""
         if self._csr is None:
-            self._csr = _csr(self.n, *_columns(self.edges))
+            e = np.array(self.edges, dtype=np.float64).reshape(-1, 3)
+            self._csr = _csr(self.n, e[:, 0], e[:, 1], e[:, 2])
         return self._csr
 
     def min_weight(self) -> float:

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse.csgraph as csg
 
 from farfirst.generators import random_connected_graph
-from farfirst.graphs import (INF, DisjointSets, KruskalTree, _csr, approx_diameter,
+from farfirst.graphs import (INF, DisjointSets, KruskalTree, approx_diameter,
                              contract_graph, dijkstra, dijkstra_truncated, is_connected,
                              make_graph, parse_graph, pruned_dijkstra_relax, write_graph)
 from farfirst.oracles import bellman_ford
@@ -92,29 +92,6 @@ def test_adjacency_matches_per_edge_appends():
     gc.collect()
     gc.collect()
     assert not any(gc.is_tracked(pairs) for pairs in g.adjacency())
-
-
-def test_csr_matches_the_float_matrix_construction():
-    """Graph.csr against _csr over the columns of one float64 array of the
-    edges, on multigraphs with parallel edges, zero weights and isolated
-    vertices: the same indptr, indices and data, explicit zeros included."""
-    rng = np.random.default_rng(29)
-    parallel = zeros = 0
-    for _ in range(40):
-        n = int(rng.integers(1, 30))
-        edges = [(int(a), int(b), float(rng.choice([0.0, 1.0, 2.5, 0.3])))
-                 for a, b in rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2)) if a != b]
-        g = make_graph(n, edges)
-        e = np.array(g.edges, dtype=np.float64).reshape(-1, 3)
-        want = _csr(n, e[:, 0], e[:, 1], e[:, 2])
-        got = g.csr()
-        for field in ("indptr", "indices", "data"):
-            assert getattr(got, field).dtype == getattr(want, field).dtype, field
-            assert np.array_equal(getattr(got, field), getattr(want, field)), field
-        assert got.shape == want.shape
-        parallel += got.nnz < 2 * g.m
-        zeros += int((got.data == 0.0).sum())
-    assert parallel and zeros
 
 
 def test_parse_gr_format(tmp_path):
